@@ -52,6 +52,21 @@ INGEST_SHARD_COUNTS = (1, 4)
 INGEST_DEVICES = 8
 
 
+def _ingest_workload(n: int, seed: int):
+    """The seeded batched write workload every ingest cell drives."""
+    from repro.bench.workload import SystemWorkloadConfig
+
+    return SystemWorkloadConfig(
+        dataset="lognormal",
+        total_points=n,
+        batch_size=max(1, n // 40),
+        write_percentage=1.0,
+        device="root.baseline.d",
+        n_devices=INGEST_DEVICES,
+        seed=seed,
+    )
+
+
 def _ingest_shard_ops(n: int, seed: int, shards: int) -> dict[int, int]:
     """Per-shard work of one deterministic batched ingest run.
 
@@ -61,22 +76,10 @@ def _ingest_shard_ops(n: int, seed: int, shards: int) -> dict[int, int]:
     The ingest is driven single-threaded: shard totals depend only on the
     device→shard routing and each device's seeded arrival stream.
     """
-    from repro.bench.workload import (
-        SystemWorkloadConfig,
-        WriteOp,
-        build_operations,
-    )
+    from repro.bench.workload import WriteOp, build_operations
     from repro.iotdb import IoTDBConfig, StorageEngine
 
-    workload = SystemWorkloadConfig(
-        dataset="lognormal",
-        total_points=n,
-        batch_size=max(1, n // 40),
-        write_percentage=1.0,
-        device="root.baseline.d",
-        n_devices=INGEST_DEVICES,
-        seed=seed,
-    )
+    workload = _ingest_workload(n, seed)
     engine = StorageEngine.create(
         IoTDBConfig(
             sorter="backward",
@@ -168,22 +171,10 @@ def _ingest_path_wal_work(n: int, seed: int, batched: bool) -> dict[str, int]:
     enabled, so the difference between the two cells is exactly the framing
     and flush amortisation of the batch path.
     """
-    from repro.bench.workload import (
-        SystemWorkloadConfig,
-        WriteOp,
-        build_operations,
-    )
+    from repro.bench.workload import WriteOp, build_operations
     from repro.iotdb import IoTDBConfig, StorageEngine
 
-    workload = SystemWorkloadConfig(
-        dataset="lognormal",
-        total_points=n,
-        batch_size=max(1, n // 40),
-        write_percentage=1.0,
-        device="root.baseline.d",
-        n_devices=INGEST_DEVICES,
-        seed=seed,
-    )
+    workload = _ingest_workload(n, seed)
     engine = StorageEngine.create(
         IoTDBConfig(
             sorter="backward",
@@ -220,66 +211,35 @@ def collect_ingest_path_cells(
     }
 
 
-#: The persistence stacks pinned by the backend cells.
-BACKENDS = ("v1", "v2-local", "v2-memory")
+def collect_backend_cells(
+    n: int = DEFAULT_N, seed: int = DEFAULT_SEED
+) -> dict[str, dict[str, int]]:
+    """Persisted-byte accounting of one WAL-enabled ingest run.
 
-
-def _backend_ingest_stats(n: int, seed: int, backend: str) -> dict[str, int]:
-    """Persisted-byte accounting of one WAL-enabled ingest run per backend.
-
-    The identical seeded batched workload runs over the v1 local layout,
-    the v2 layout on a ``LocalDirStore``, and the v2 layout on a
-    ``MemoryStore``; the cell records the WAL bytes/flushes the run
-    appended and the total bytes of the sealed TsFiles it left behind.
-    All three are exact byte/operation counts of deterministic encoders,
-    so the three cells must be *identical* — v2-local is byte-for-byte
-    the v1 tree, and the memory store runs the same code over a dict —
-    which :func:`check_invariants` enforces as equalities every run.
+    The seeded batched workload runs over a ``data_dir`` tree; the cell
+    records the WAL bytes/flushes the run appended and the total bytes of
+    the sealed TsFiles it left behind — exact byte/operation counts of
+    deterministic encoders.  One cell is enough: that every store
+    persists identical bytes is proven byte-for-byte by
+    ``tests/iotdb/test_backend_parity.py``.
     """
     import shutil
     import tempfile
 
-    from repro.bench.workload import (
-        SystemWorkloadConfig,
-        WriteOp,
-        build_operations,
-    )
-    from repro.iotdb import IoTDBConfig, MemoryStore, StorageEngine
+    from repro.bench.workload import WriteOp, build_operations
+    from repro.iotdb import IoTDBConfig, StorageEngine
 
-    workload = SystemWorkloadConfig(
-        dataset="lognormal",
-        total_points=n,
-        batch_size=max(1, n // 40),
-        write_percentage=1.0,
-        device="root.baseline.d",
-        n_devices=INGEST_DEVICES,
-        seed=seed,
-    )
-    tmp: str | None = None
+    workload = _ingest_workload(n, seed)
+    tmp = tempfile.mkdtemp(prefix="repro-bench-backend-")
     try:
-        if backend == "v2-memory":
-            store = MemoryStore()
-            engine = StorageEngine.create(
-                IoTDBConfig(
-                    sorter="backward",
-                    wal_enabled=True,
-                    memtable_flush_threshold=max(2, n // 16),
-                    engine_version=2,
-                ),
-                backend=store,
+        engine = StorageEngine.create(
+            IoTDBConfig(
+                sorter="backward",
+                wal_enabled=True,
+                memtable_flush_threshold=max(2, n // 16),
+                data_dir=tmp,
             )
-        else:
-            tmp = tempfile.mkdtemp(prefix="repro-bench-backend-")
-            engine = StorageEngine.create(
-                IoTDBConfig(
-                    sorter="backward",
-                    wal_enabled=True,
-                    memtable_flush_threshold=max(2, n // 16),
-                    data_dir=tmp,
-                    engine_version=1 if backend == "v1" else 2,
-                )
-            )
-            store = engine.store
+        )
         for op in build_operations(workload):
             if isinstance(op, WriteOp):
                 engine.write_batch(
@@ -287,6 +247,7 @@ def _backend_ingest_stats(n: int, seed: int, backend: str) -> dict[str, int]:
                 )
         engine.flush_all()
         wal = engine.wal_stats()
+        store = engine.store
         sealed_bytes = sum(
             len(store.get(key))
             for key in store.list("")
@@ -294,29 +255,13 @@ def _backend_ingest_stats(n: int, seed: int, backend: str) -> dict[str, int]:
         )
         engine.close()
     finally:
-        if tmp is not None:
-            shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
     return {
-        "wal_bytes": wal["bytes_appended"],
-        "wal_flushes": wal["flushes"],
-        "sealed_bytes": sealed_bytes,
-    }
-
-
-def collect_backend_cells(
-    n: int = DEFAULT_N, seed: int = DEFAULT_SEED
-) -> dict[str, dict[str, int]]:
-    """Backend-parity cells: identical persisted work on every backend.
-
-    The checker enforces — structurally, every run — that the
-    ``v2-local`` cell equals the ``v1`` cell (the v2-local tree is
-    byte-for-byte the v1 tree) and the ``v2-memory`` cell equals the
-    ``v2-local`` cell (the same code path over an in-memory KV): the
-    pluggable backend must cost nothing and change nothing.
-    """
-    return {
-        f"ingest/backend={backend}": _backend_ingest_stats(n, seed, backend)
-        for backend in BACKENDS
+        "ingest/backend=local": {
+            "wal_bytes": wal["bytes_appended"],
+            "wal_flushes": wal["flushes"],
+            "sealed_bytes": sealed_bytes,
+        }
     }
 
 
@@ -500,21 +445,6 @@ def check_invariants(current: dict) -> list[str]:
             f"ingest/path=batch did {_total(batched)} units of WAL work but "
             f"path=point did {_total(point)}: the batch path must do strictly "
             "less"
-        )
-
-    v1 = cells.get("ingest/backend=v1")
-    v2_local = cells.get("ingest/backend=v2-local")
-    v2_memory = cells.get("ingest/backend=v2-memory")
-    if v1 is not None and v2_local is not None and v2_local != v1:
-        problems.append(
-            f"ingest/backend=v2-local {v2_local} differs from backend=v1 "
-            f"{v1}: the v2-local tree must be byte-for-byte the v1 tree"
-        )
-    if v2_local is not None and v2_memory is not None and v2_memory != v2_local:
-        problems.append(
-            f"ingest/backend=v2-memory {v2_memory} differs from "
-            f"backend=v2-local {v2_local}: the memory store runs the same "
-            "code path and must persist identical bytes"
         )
 
     cache_on = cells.get("flush/lcache=on")

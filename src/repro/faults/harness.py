@@ -26,21 +26,19 @@ repro.faults.harness`` runs the sweep standalone (CI's ``faults`` job
 does exactly this).
 
 The whole sweep is backend-parametric (``FaultWorkload.backend`` /
-``--backend``): ``v1`` is the historical local directory layout, snapshot
-by directory copy (:class:`CrashSimulator`); ``v2-local`` the same bytes
-created as engine version 2; ``v2-memory`` runs over a
+``--backend``): ``local`` is a ``data_dir`` tree, snapshot by directory
+copy (:class:`CrashSimulator`); ``memory`` runs over a
 :class:`~repro.iotdb.backends.MemoryStore`, snapshot by
-``store.snapshot()`` at the crash point — in every case the snapshot is
+``store.snapshot()`` at the crash point — in both cases the snapshot is
 taken *before* the crashed engine is abandoned, so bytes still pending in
 a :class:`~repro.faults.files.FaultyFile` buffer are absent from it, on
-every backend, through the same code path.  A crash can also fire inside
+either backend, through the same code path.  A crash can also fire inside
 ``StorageEngine.create`` itself (the ``meta.*`` stamp sites), leaving an
 unversioned or torn-stamp tree; the sweep recovers those too.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,25 +74,23 @@ class FaultWorkload:
     #: others' recovery).  Flushes stay inline (``flush_workers=0``) so
     #: the sweep's (site, nth) enumeration is deterministic.
     shards: int = 1
-    #: Which persistence stack the sweep runs over: ``"v1"`` (the local
-    #: directory layout), ``"v2-local"`` (the same bytes, created as
-    #: engine version 2), or ``"v2-memory"`` (engine version 2 over a
+    #: Which store the sweep runs over: ``"local"`` (a ``data_dir``
+    #: tree) or ``"memory"`` (a
     #: :class:`~repro.iotdb.backends.MemoryStore`).
-    backend: str = "v1"
+    backend: str = "local"
     seed: int = 7
 
     def config(self, data_dir):
         from repro.iotdb.config import IoTDBConfig
 
-        if self.backend not in ("v1", "v2-local", "v2-memory"):
+        if self.backend not in ("local", "memory"):
             raise ValueError(f"unknown harness backend {self.backend!r}")
         return IoTDBConfig(
-            data_dir=None if self.backend == "v2-memory" else data_dir,
+            data_dir=None if self.backend == "memory" else data_dir,
             wal_enabled=True,
             memtable_flush_threshold=self.flush_threshold,
             deferred_flush=self.deferred,
             shards=self.shards,
-            engine_version=1 if self.backend == "v1" else 2,
         )
 
     def ops(self) -> list[tuple]:
@@ -306,7 +302,7 @@ def _count_recovered(engine, acked: OracleModel, inflight_op=None) -> int:
 
 
 def _abandon(engine) -> None:
-    """Drop a crashed engine's OS handles without committing anything new.
+    """Drop a crashed engine's store handles without committing anything new.
 
     Called only *after* the snapshot is taken, so any pending bytes a
     close might flush land in the abandoned directory, never the snapshot.
@@ -314,13 +310,10 @@ def _abandon(engine) -> None:
     for shard in engine.shards:
         with shard._lock:
             for sealed in shard._sealed:
-                if sealed.buffer is not None and not isinstance(
-                    sealed.buffer, io.BytesIO
-                ):
-                    try:
-                        sealed.buffer.close()
-                    except Exception:
-                        pass
+                try:
+                    sealed.buffer.close()
+                except Exception:
+                    pass
             if shard._wals:
                 for wal in shard._wals.values():
                     try:
@@ -335,7 +328,7 @@ def _make_store(workload: FaultWorkload):
     Constructed *before* the engine so it survives a crash injected
     inside ``create`` itself (the caller snapshots it either way).
     """
-    if workload.backend == "v2-memory":
+    if workload.backend == "memory":
         from repro.iotdb.backends import MemoryStore
 
         return MemoryStore()
@@ -428,7 +421,7 @@ def run_crash_case(
     # Snapshot the durable state BEFORE abandoning the crashed engine:
     # closing its handles would commit FaultyFile-pending bytes the
     # simulated crash never flushed.
-    if workload.backend == "v2-memory":
+    if workload.backend == "memory":
         snapshot = store.snapshot()
         if engine is not None:
             _abandon(engine)
@@ -560,7 +553,7 @@ def run_fault_plan(
     # The plan covers the workload; verification and shutdown run healthy.
     injector.disarm()
     if crashed:
-        if workload.backend == "v2-memory":
+        if workload.backend == "memory":
             snapshot = store.snapshot()
             if engine is not None:
                 _abandon(engine)
@@ -605,9 +598,9 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, default=1)
     parser.add_argument(
         "--backend",
-        choices=("v1", "v2-local", "v2-memory"),
-        default="v1",
-        help="persistence stack to sweep (engine version / blob store)",
+        choices=("local", "memory"),
+        default="local",
+        help="blob store to sweep (a data_dir tree / a MemoryStore)",
     )
     parser.add_argument("--root", type=Path, default=None,
                         help="work directory (default: a fresh temp dir)")

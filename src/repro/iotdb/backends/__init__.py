@@ -1,11 +1,13 @@
-"""Pluggable blob-store backends for the storage engine's v2 layout.
+"""Blob-store backends: the only way the storage engine touches bytes.
 
 Every persistence call site in the engine — sealed TsFiles, WAL segments,
 interval indexes, ``meta/engine.json`` — addresses bytes through the
-:class:`BlobStore` interface.  :class:`LocalDirStore` maps keys 1:1 onto a
-local directory (byte-identical to the historical v1 tree);
-:class:`MemoryStore` is an S3-like in-memory table used by the parity
-suites and the ``v2-memory`` crash sweep.  See docs/STORAGE.md for the
+:class:`BlobStore` interface, and every engine owns exactly one store.
+:class:`LocalDirStore` maps keys 1:1 onto a local directory (what a
+``data_dir`` engine runs on; byte-identical to the historical v1 tree);
+:class:`MemoryStore` is an S3-like in-memory table (what an engine
+without a ``data_dir`` runs on, and the ``--backend memory`` crash
+sweep).  See docs/STORAGE.md for the
 normative on-disk format and the per-method atomicity contract.
 """
 

@@ -10,8 +10,9 @@ byte for byte), which is what lets every sealed TsFile, WAL segment,
 interval index, and engine-meta write go through this interface without
 changing a single byte of the v1 tree.  A second implementation
 (:class:`~repro.iotdb.backends.memory.MemoryStore`) keeps the same mapping
-in process memory — the shape of an object-store backend, used by the
-parity suites and the crash harness's ``v2-memory`` sweep.
+in process memory — the shape of an object-store backend; it is what an
+engine without a ``data_dir`` persists to, and what the parity suites
+and the crash harness's ``--backend memory`` sweep run over.
 
 Atomicity contract (normative; docs/STORAGE.md §"BlobStore contract"):
 

@@ -4,10 +4,11 @@ The second backend the v2 layout runs on: one ``dict`` of key →
 ``bytearray`` behind its own lock, with the same key namespace and the
 same atomicity contract as :class:`~repro.iotdb.backends.local.LocalDirStore`
 (``rename_atomic`` moves the value object between keys in one locked
-step).  It exists for what a real object store would be used for minus the
-network: backend-parity suites (same workload → identical bytes and query
-results as the local tree) and the crash harness's ``v2-memory`` sweep,
-where :meth:`snapshot` plays the role the
+step).  Every engine without a ``data_dir`` owns one; it also serves what
+a real object store would be used for minus the network: backend-parity
+suites (same workload → identical bytes and query results as the local
+tree) and the crash harness's ``--backend memory`` sweep, where
+:meth:`snapshot` plays the role the
 :class:`~repro.faults.crash.CrashSimulator` directory copy plays on disk.
 
 Durability model under fault injection: a write handle appends straight

@@ -47,9 +47,10 @@ class IoTDBConfig:
         value_encodings: per-type value encoder overrides; types not listed
             use :attr:`default_value_encoding`.
         default_value_encoding: fallback value encoder (``plain``).
-        data_dir: directory for sealed TsFiles; ``None`` keeps them in
-            memory (the benchmarking default — isolates sort cost from I/O
-            noise, cf. DESIGN.md §4).
+        data_dir: directory the engine persists under; ``None`` keeps
+            everything in an engine-owned in-memory store (the
+            benchmarking default — isolates sort cost from I/O noise,
+            cf. DESIGN.md §4).
         wal_enabled: write records to a write-ahead log before the memtable.
         separation_enabled: route points older than the flush watermark to
             the unsequence memtable (§II: "any timestamp smaller than the
@@ -96,14 +97,6 @@ class IoTDBConfig:
         compaction_overlap_threshold: minimum number of sequence files an
             unsequence file must overlap before the ``"overlap"`` policy
             selects it.
-        engine_version: on-disk layout version ``StorageEngine.create``
-            writes by default (``1`` = the historical local directory
-            tree; ``2`` = the same key layout addressed through a
-            pluggable :class:`~repro.iotdb.backends.BlobStore`).  Only a
-            *create-time* default: ``StorageEngine.open`` dispatches on
-            the tree's own ``meta/engine.json`` stamp, never on this
-            knob.  See docs/STORAGE.md for the version-compatibility
-            matrix.
     """
 
     array_size: int = 32
@@ -125,13 +118,8 @@ class IoTDBConfig:
     index_enabled: bool = True
     compaction_policy: str = "full"
     compaction_overlap_threshold: int = 2
-    engine_version: int = 1
 
     def __post_init__(self) -> None:
-        if self.engine_version not in (1, 2):
-            raise InvalidParameterError(
-                f"engine_version must be 1 or 2, got {self.engine_version!r}"
-            )
         if self.shards < 1:
             raise InvalidParameterError(f"shards must be >= 1, got {self.shards}")
         if self.flush_workers < 0:

@@ -13,8 +13,8 @@ Write path (§V): a point is routed by its shard's separation policy to the
 sequence or unsequence *working* memtable (optionally after a WAL append);
 when a memtable crosses the flush threshold it transitions to *flushing*,
 is sorted chunk-by-chunk with the configured sorter, encoded, and sealed
-into an immutable TsFile (in memory by default, on disk under the shard's
-``shard-NN/`` directory when ``data_dir`` is set).
+into an immutable TsFile under the shard's ``shard-NN/`` key prefix of the
+engine's :class:`~repro.iotdb.backends.BlobStore`.
 
 Query path: a time-range query is answered by the single shard that owns
 the device (series-hash routing makes the per-shard merge degenerate); the
@@ -26,22 +26,24 @@ Front door: construct engines through the two keyword-only factories —
 :meth:`StorageEngine.create` for a fresh start (deletes any leftover WAL
 segments) and :meth:`StorageEngine.open` to recover a persisted engine
 after a restart or crash (each shard recovers its key prefix
-independently).  The plain constructor survives as a deprecated shim of
-``create``.
+independently).
 
-Versioned layouts: every persisted tree carries a CRC-framed
-``meta/engine.json`` stamp (:mod:`repro.iotdb.meta`) naming its layout
-version, backend kind, and shard count.  ``create`` writes version 1 (the
-historical local directory tree) by default; ``create(version=2)`` — or
-``config.engine_version = 2`` — selects the v2 layout, whose bytes are
-addressed through a pluggable :class:`~repro.iotdb.backends.BlobStore`
-(``backend=`` accepts any store; the default wraps ``data_dir`` in a
-:class:`~repro.iotdb.backends.LocalDirStore`, making the v2-local tree
-byte-identical to v1).  ``open`` dispatches on the stamp, not on the
-config: an unversioned directory is inferred as v1 and stamped, a torn
-stamp is rebuilt from what the access path proves, and a future or
-malformed version is refused with a precise error (docs/STORAGE.md holds
-the normative format and compatibility matrix).
+One persistence path: every engine owns exactly one
+:class:`~repro.iotdb.backends.BlobStore` — the ``backend=`` store if one
+is passed, else a :class:`~repro.iotdb.backends.LocalDirStore` over
+``config.data_dir``, else (``create`` only) an engine-owned
+:class:`~repro.iotdb.backends.MemoryStore` — and every byte it persists
+goes through it.  Every tree carries a CRC-framed ``meta/engine.json``
+stamp (:mod:`repro.iotdb.meta`) naming its layout version, backend kind,
+and shard count.  The version is derived from the access path, never
+configured: a ``data_dir`` tree is version 1 (the historical local
+directory tree), a tree behind an explicit or engine-owned store is
+version 2 (the same key schema; on a ``LocalDirStore`` it is
+byte-identical to v1).  ``open`` dispatches on the stamp: an unversioned
+tree is stamped with the version its access path implies, a torn stamp
+is rebuilt the same way, and a future or malformed version is refused
+with a precise error (docs/STORAGE.md holds the normative format and
+compatibility matrix).
 
 Flush/compaction concurrency: with ``config.flush_workers > 0`` the
 engine owns a shared :class:`~concurrent.futures.ThreadPoolExecutor` and
@@ -52,14 +54,14 @@ flush stays inline on the calling thread — fully deterministic, which the
 
 Lock hierarchy: ``StorageEngine._lock`` → ``StorageShard._lock`` →
 {``MemTable._lock``, ``SegmentedWal._lock``, ``FaultInjector._lock``,
-``MetricsRegistry._lock``}.  The engine lock only serialises whole-engine
+``MetricsRegistry._lock``} → ``MemoryStore._lock`` (a leaf, under every
+engine without a ``data_dir``).  The engine lock only serialises whole-engine
 fan-out operations (flush_all / drain / compact / close / recovery); the
 write and query hot paths take only the owning shard's lock.
 """
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -68,7 +70,7 @@ from repro.analysis.concurrency import create_lock
 from repro.core.sorter import Sorter
 from repro.errors import MetaCorruptionError, StorageError
 from repro.faults.injector import NOOP_INJECTOR
-from repro.iotdb.backends import BlobStore, LocalDirStore
+from repro.iotdb.backends import BlobStore, LocalDirStore, MemoryStore
 from repro.iotdb.config import IoTDBConfig
 from repro.iotdb.engine_metrics import EngineInstruments
 from repro.iotdb.meta import (
@@ -84,11 +86,6 @@ from repro.iotdb.separation import Space
 from repro.iotdb.shard import StorageShard
 from repro.obs import Observability, metrics_only
 from repro.sorting.registry import get_sorter
-
-#: Sentinel distinguishing "derive the store from config.data_dir" (the
-#: constructor's historical behaviour) from an explicit ``None``/store.
-_UNSET = object()
-
 
 class _SeparationView:
     """Engine-wide view over the per-shard separation policies.
@@ -145,25 +142,18 @@ class StorageEngine:
 
     def __init__(
         self,
-        config: IoTDBConfig | None = None,
-        sorter: Sorter | None = None,
+        config: IoTDBConfig,
+        sorter: Sorter | None,
         *,
-        obs: Observability | None = None,
-        faults=None,
-        _from_factory: bool = False,
-        _fresh: bool = True,
-        _store=_UNSET,
-        _version: int | None = None,
+        obs: Observability | None,
+        faults,
+        store: BlobStore,
+        version: int,
+        fresh: bool,
     ) -> None:
-        if not _from_factory:
-            warnings.warn(
-                "constructing StorageEngine(...) directly is deprecated; use "
-                "StorageEngine.create(...) for a fresh engine or "
-                "StorageEngine.open(...) to recover an on-disk one",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.config = config if config is not None else IoTDBConfig()
+        """Wire an engine over a resolved ``store``; callers go through
+        :meth:`create` / :meth:`open`, which resolve it and the stamp."""
+        self.config = config
         # Default: a per-engine metrics-only Observability, so describe()
         # always sits over a live registry.  Inject Observability() for
         # tracing too, or repro.obs.NOOP to disable metrics entirely.
@@ -178,22 +168,10 @@ class StorageEngine:
         self._lock = create_lock("StorageEngine._lock")
         self._instruments = EngineInstruments(self.obs.registry)
         self._executor = TimeRangeQueryExecutor(self.sorter, self.obs)
-        if _store is _UNSET:
-            # Historical behaviour: persistence over the local directory
-            # (LocalDirStore creates it), pure in-memory without one.
-            store = (
-                LocalDirStore(self.config.data_dir)
-                if self.config.data_dir is not None
-                else None
-            )
-        else:
-            store = _store
-        #: Where the engine persists bytes (``None`` = pure in-memory).
-        self.store: BlobStore | None = store
-        #: The layout version this engine reads and writes.
-        self.engine_version: int = (
-            _version if _version is not None else self.config.engine_version
-        )
+        #: Where the engine persists every byte it writes.
+        self.store: BlobStore = store
+        #: The layout version recorded in this tree's stamp (read-only).
+        self.engine_version: int = version
         self._shards: tuple[StorageShard, ...] = tuple(
             StorageShard(
                 shard_id,
@@ -203,7 +181,7 @@ class StorageEngine:
                 faults=self.faults,
                 instruments=self._instruments,
                 executor=self._executor,
-                fresh=_fresh,
+                fresh=fresh,
                 store=store,
             )
             for shard_id in range(self.config.shards)
@@ -226,74 +204,38 @@ class StorageEngine:
         sorter: Sorter | None = None,
         obs: Observability | None = None,
         faults=None,
-        version: int | None = None,
         backend: BlobStore | None = None,
     ) -> "StorageEngine":
         """A fresh engine (the fresh-start entry of the front door).
 
         Fresh-start semantics: any WAL segments left behind in the
-        engine's backend are deleted — use :meth:`open` to recover them
+        engine's store are deleted — use :meth:`open` to recover them
         instead.  All dependencies are keyword-only: ``sorter`` overrides
         the configured sorter instance, ``obs`` injects an
         :class:`~repro.obs.Observability`, ``faults`` a
         :class:`~repro.faults.FaultInjector`.
 
-        ``version`` selects the on-disk layout (default
-        ``config.engine_version``): version 1 is the historical local
-        directory tree and persists iff ``config.data_dir`` is set;
-        version 2 addresses the same key layout through a pluggable
-        :class:`~repro.iotdb.backends.BlobStore` — pass one as
-        ``backend=``, or set ``config.data_dir`` to persist through a
-        :class:`~repro.iotdb.backends.LocalDirStore` (byte-identical to
-        the v1 tree).  Every persisted tree is stamped with a
-        ``meta/engine.json`` record that :meth:`open` later dispatches on.
+        The engine persists through exactly one store: ``backend=`` if
+        given, else a :class:`~repro.iotdb.backends.LocalDirStore` over
+        ``config.data_dir``, else an engine-owned
+        :class:`~repro.iotdb.backends.MemoryStore` (reachable as
+        ``engine.store``, so even an in-memory engine can be reopened
+        with ``open(config, backend=engine.store)``).  The tree is
+        stamped with a ``meta/engine.json`` record that :meth:`open`
+        later dispatches on; its version follows from the access path
+        (``data_dir`` ⇒ 1, a store ⇒ 2).
         """
         config = config if config is not None else IoTDBConfig()
-        if version is None:
-            version = config.engine_version
-        if version not in (1, 2):
-            raise StorageError(f"engine version must be 1 or 2, got {version!r}")
-        if version == 1:
-            if backend is not None:
-                raise StorageError(
-                    "engine version 1 is the local directory layout; it takes "
-                    "a config.data_dir, not a backend= store (use version=2 "
-                    "for pluggable backends)"
-                )
-            store = (
-                LocalDirStore(config.data_dir)
-                if config.data_dir is not None
-                else None
-            )
-        else:
-            if backend is not None and config.data_dir is not None:
-                raise StorageError(
-                    "pass either config.data_dir or backend= to "
-                    "StorageEngine.create, not both"
-                )
-            if backend is None and config.data_dir is None:
-                raise StorageError(
-                    "engine version 2 persists through a backend: pass "
-                    "backend= or set config.data_dir"
-                )
-            store = (
-                backend if backend is not None else LocalDirStore(config.data_dir)
-            )
+        store, version = cls._resolve_store(config, backend, "create")
         engine = cls(
-            config,
-            sorter,
-            obs=obs,
-            faults=faults,
-            _from_factory=True,
-            _store=store,
-            _version=version,
+            config, sorter, obs=obs, faults=faults,
+            store=store, version=version, fresh=True,
         )
-        if store is not None:
-            write_meta(
-                store,
-                EngineMeta(version=version, backend=store.kind, shards=config.shards),
-                faults=engine.faults,
-            )
+        write_meta(
+            store,
+            EngineMeta(version=version, backend=store.kind, shards=config.shards),
+            faults=engine.faults,
+        )
         return engine
 
     @classmethod
@@ -308,16 +250,14 @@ class StorageEngine:
     ) -> "StorageEngine":
         """Reopen a persisted engine after a restart (or crash).
 
-        Dispatches on the tree's ``meta/engine.json`` stamp (never on
-        ``config.engine_version``): a validated stamp selects its own
-        layout version; an unversioned local directory is inferred as
-        version 1 and stamped; an unversioned explicit backend is
-        inferred as version 2 and stamped (a crash can land between the
-        shard writes of ``create`` and the stamp); a torn or
-        CRC-damaged stamp is rebuilt from what the access path proves;
-        a well-framed stamp naming a future version, a different
-        backend kind, or a different shard count is refused with a
-        precise error.  Resolutions are counted on
+        Dispatches on the tree's ``meta/engine.json`` stamp: a validated
+        stamp selects its own layout version; an unversioned tree is
+        stamped with the version its access path implies (``data_dir``
+        ⇒ 1, explicit backend ⇒ 2 — a crash can land between the shard
+        writes of ``create`` and the stamp); a torn or CRC-damaged stamp
+        is rebuilt the same way; a well-framed stamp naming a future
+        version, a different backend kind, or a different shard count is
+        refused with a precise error.  Resolutions are counted on
         ``engine_meta_recoveries_total{outcome}``.
 
         Each shard then recovers its own ``shard-NN/`` key prefix
@@ -329,29 +269,16 @@ class StorageEngine:
         over ``config.shards``, so reopening with a different count
         would make recovered series invisible.
         """
-        if backend is not None:
-            if config.data_dir is not None:
-                raise StorageError(
-                    "pass either config.data_dir or backend= to "
-                    "StorageEngine.open, not both"
-                )
-            store, version, outcome = cls._resolve_store_meta(config, backend)
-        else:
-            if config.data_dir is None:
-                raise StorageError(
-                    "StorageEngine.open requires a data_dir configuration"
-                )
-            store = LocalDirStore(config.data_dir)
-            version, outcome = cls._resolve_local_meta(config, store)
+        if backend is None and config.data_dir is None:
+            raise StorageError(
+                "StorageEngine.open requires a data_dir configuration or a "
+                "backend= store"
+            )
+        store, inferred = cls._resolve_store(config, backend, "open")
+        version, outcome = cls._resolve_meta(config, store, inferred)
         engine = cls(
-            config,
-            sorter,
-            obs=obs,
-            faults=faults,
-            _from_factory=True,
-            _fresh=False,
-            _store=store,
-            _version=version,
+            config, sorter, obs=obs, faults=faults,
+            store=store, version=version, fresh=False,
         )
         engine._instruments.meta_recoveries.labels(outcome=outcome).inc()
         # A crash during a stamp's publish can leave a torn .part behind;
@@ -369,23 +296,65 @@ class StorageEngine:
         return engine
 
     @staticmethod
-    def _resolve_store_meta(
-        config: IoTDBConfig, store: BlobStore
-    ) -> tuple[BlobStore, int, str]:
-        """Resolve the stamp of an explicit-backend tree (v2 only)."""
+    def _resolve_store(
+        config: IoTDBConfig, backend: BlobStore | None, entry: str
+    ) -> tuple[BlobStore, int]:
+        """The one store an engine persists through, and the layout
+        version that access path implies."""
+        if backend is not None:
+            if config.data_dir is not None:
+                raise StorageError(
+                    "pass either config.data_dir or backend= to "
+                    f"StorageEngine.{entry}, not both"
+                )
+            return backend, 2
+        if config.data_dir is not None:
+            return LocalDirStore(config.data_dir), 1
+        return MemoryStore(), 2
+
+    @staticmethod
+    def _resolve_meta(
+        config: IoTDBConfig, store: BlobStore, inferred: int
+    ) -> tuple[int, str]:
+        """Resolve a tree's stamp to ``(version, outcome)``.
+
+        ``inferred`` is the version the access path implies; it is what
+        an unversioned or torn-stamp tree gets stamped with.  That is
+        safe on both paths: a ``data_dir`` tree predating the stamp has
+        its shape checked first (shard-directory count, no stray root
+        TsFiles), and v1/v2-local trees are byte-identical below
+        ``meta/``; an explicit store can only ever have been written as
+        version 2.  The shard recovery path proves everything else.
+        """
+        if inferred == 1:
+            data_dir = Path(config.data_dir)
+            existing = sorted(p for p in data_dir.glob("shard-*") if p.is_dir())
+            if existing and len(existing) != config.shards:
+                raise StorageError(
+                    f"data_dir holds {len(existing)} shard directories but "
+                    f"config.shards={config.shards}; reopen with the shard "
+                    "count the directory was written with"
+                )
+            stray = sorted(data_dir.glob("*.tsfile")) + sorted(
+                data_dir.glob("*.tsfile.part")
+            )
+            if stray:
+                raise StorageError(
+                    f"unrecognised TsFile name {stray[0].name!r}: TsFiles "
+                    "live under per-shard shard-NN/ directories"
+                )
         try:
             meta = read_meta(store)
         except MetaCorruptionError:
-            # A torn stamp is a crash artifact.  The tree reached us
-            # through an explicit BlobStore, which only version 2 ever
-            # writes — rebuild the stamp from that.
-            return store, 2, "rebuilt-corrupt"
+            # A torn stamp is a crash artifact; rebuild it from what the
+            # access path proves.
+            return inferred, "rebuilt-corrupt"
         if meta is None:
-            # create() stamps after the shards initialise, so a crash in
-            # between leaves an unversioned v2 tree.
-            return store, 2, "stamped-unversioned"
+            # Predates the stamp, or create() crashed between initialising
+            # the shards and stamping.
+            return inferred, "stamped-unversioned"
         check_supported_version(meta.version)
-        if meta.version == 1:
+        if meta.version == 1 and inferred != 1:
             raise StorageError(
                 "this tree was written as engine version 1 (the local "
                 "directory layout); open it through config.data_dir, not "
@@ -394,58 +363,7 @@ class StorageEngine:
         if meta.backend != store.kind:
             raise StorageError(
                 f"engine meta records backend kind {meta.backend!r} but the "
-                f"store passed to open is {store.kind!r}; refusing to mix "
-                "backends"
-            )
-        if meta.shards != config.shards:
-            raise StorageError(
-                f"engine meta records {meta.shards} shards but "
-                f"config.shards={config.shards}; reopen with the shard "
-                "count the tree was written with"
-            )
-        return store, meta.version, "validated"
-
-    @staticmethod
-    def _resolve_local_meta(
-        config: IoTDBConfig, store: BlobStore
-    ) -> tuple[int, str]:
-        """Resolve the stamp of a ``data_dir`` tree (v1 or v2-local).
-
-        Unversioned directories predate the stamp: their shape is checked
-        (shard-directory count, no stray root TsFiles) and they are
-        inferred as version 1.  The v1 and v2-local layouts are
-        byte-identical below ``meta/``, so a torn stamp costs nothing but
-        a rebuild — the shard recovery path proves everything else.
-        """
-        data_dir = Path(config.data_dir)
-        existing = sorted(p for p in data_dir.glob("shard-*") if p.is_dir())
-        if existing and len(existing) != config.shards:
-            raise StorageError(
-                f"data_dir holds {len(existing)} shard directories but "
-                f"config.shards={config.shards}; reopen with the shard "
-                "count the directory was written with"
-            )
-        stray = sorted(data_dir.glob("*.tsfile")) + sorted(
-            data_dir.glob("*.tsfile.part")
-        )
-        if stray:
-            raise StorageError(
-                f"unrecognised TsFile name {stray[0].name!r}: TsFiles "
-                "live under per-shard shard-NN/ directories"
-            )
-        try:
-            meta = read_meta(store)
-        except MetaCorruptionError:
-            # Crash artifact; the directory shape above already passed the
-            # v1 checks, and v1/v2-local trees coincide — stamp v1.
-            return 1, "rebuilt-corrupt"
-        if meta is None:
-            return 1, "stamped-unversioned"
-        check_supported_version(meta.version)
-        if meta.backend != store.kind:
-            raise StorageError(
-                f"engine meta records backend kind {meta.backend!r} but "
-                f"data_dir trees are written through a 'local' store; "
+                f"tree is being opened through a {store.kind!r} store; "
                 "refusing to mix backends"
             )
         if meta.shards != config.shards:
@@ -691,14 +609,3 @@ class StorageEngine:
             self._map_shards(lambda s: s.close())
         if self._flush_pool is not None:
             self._flush_pool.shutdown(wait=True)
-
-    def recover_from_wal(self) -> int:
-        """Replay every shard's WAL into its working memtables.
-
-        Returns the number of replayed points.  Only meaningful on a fresh
-        engine constructed over the same WAL buffers.
-        """
-        if not self.config.wal_enabled:
-            raise StorageError("WAL is disabled in this configuration")
-        with self._lock:
-            return sum(shard.recover_from_wal() for shard in self._shards)

@@ -24,11 +24,11 @@ Persistence
 -----------
 ``save_to`` writes the table as a small checksummed text blob next to the
 shard's TsFiles — through whatever
-:class:`~repro.iotdb.backends.BlobStore` the shard persists to (``save``
-is the local-path veneer) — atomically (``.part`` + rename) and through the shard's
+:class:`~repro.iotdb.backends.BlobStore` the shard persists to —
+atomically (``.part`` + rename) and through the shard's
 :class:`~repro.faults.FaultInjector` — fault sites ``index.write`` (every
 byte written, torn-write capable) and ``index.swap`` (the rename).
-``load`` raises :class:`~repro.errors.IndexCorruptionError` on any torn,
+``load_from`` raises :class:`~repro.errors.IndexCorruptionError` on any torn,
 truncated, or bit-flipped file; recovery treats that — or any mismatch
 with the sealed files actually on disk — as "rebuild from the TsFiles",
 so a damaged index can cost a rebuild but never a wrong answer.
@@ -40,7 +40,6 @@ import json
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.errors import IndexCorruptionError
 
@@ -220,14 +219,6 @@ class IntervalIndex:
         injector.crash_point("index.swap", file=key.rsplit("/", 1)[-1])
         store.rename_atomic(part_key, key)
 
-    def save(self, path: Path, *, faults=None) -> None:
-        """:meth:`save_to` over the local directory holding ``path``
-        (byte-identical to the historical direct-file writer)."""
-        from repro.iotdb.backends.local import LocalDirStore
-
-        path = Path(path)
-        self.save_to(LocalDirStore(path.parent), path.name, faults=faults)
-
     @classmethod
     def _parse(cls, text: str, source) -> "IntervalIndex":
         parts = text.split("\n", 2)
@@ -273,16 +264,6 @@ class IntervalIndex:
         except UnicodeDecodeError as exc:
             raise IndexCorruptionError(f"unreadable index blob {key}: {exc}") from exc
         return cls._parse(text, key)
-
-    @classmethod
-    def load(cls, path: Path) -> "IntervalIndex":
-        """Parse a persisted index file; any damage raises
-        :class:`IndexCorruptionError` (the caller rebuilds instead)."""
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IndexCorruptionError(f"unreadable index file {path}: {exc}") from exc
-        return cls._parse(text, path)
 
 
 def file_time_range(reader) -> tuple[int, int] | None:

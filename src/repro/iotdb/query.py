@@ -67,35 +67,28 @@ class TimeRangeQueryExecutor:
         sensor: str,
         start: int,
         end: int,
-        seq_readers: list[TsFileReader] | None = None,
-        unseq_readers: list[TsFileReader] | None = None,
+        *,
+        seq_files: list[tuple[str | None, TsFileReader]] = (),
+        unseq_files: list[tuple[str | None, TsFileReader]] = (),
         flushing_memtables: list[MemTable] = (),
         working_memtable: MemTable | None = None,
-        *,
-        seq_files=None,
-        unseq_files=None,
         index=None,
     ) -> QueryResult:
         """Gather, sort, merge and deduplicate points from every source.
 
-        Sealed files arrive either as bare readers (``seq_readers`` /
-        ``unseq_readers``) or as ``(file_id, reader)`` pairs
-        (``seq_files`` / ``unseq_files``).  With an
+        Sealed files arrive as ``(file_id, reader)`` pairs.  With an
         :class:`~repro.iotdb.interval_index.IntervalIndex` injected via
         ``index``, the executor opens only the files whose
         ``[min_time, max_time]`` intersects ``[start, end)`` — files the
         index proves disjoint are counted in ``stats.files_pruned`` and
-        never read.  A file the index does not know is always opened
-        (defensive: pruning may skip work, never data).
+        never read.  A file the index does not know (or one passed with
+        ``file_id=None``) is always opened (defensive: pruning may skip
+        work, never data).
         """
         from repro.bench.timing import Timer
 
         if start >= end:
             raise QueryError(f"empty time range [{start}, {end})")
-        if seq_files is None:
-            seq_files = [(None, reader) for reader in (seq_readers or [])]
-        if unseq_files is None:
-            unseq_files = [(None, reader) for reader in (unseq_readers or [])]
         obs = self._obs
         stats = QueryStats()
         merged: dict[int, object] = {}

@@ -15,8 +15,8 @@ that is literally the ``shard-NN/`` subdirectory of ``data_dir``, byte for
 byte — and recovers that prefix independently of its siblings: a crash
 that tears one shard's flush leaves the other shards' recovery untouched.
 Every persistence call site (sink writes, WAL segments, the interval
-index) routes through the store; ``store=None`` is the pure in-memory
-mode with no persistence at all.
+index) routes through the store — an in-memory engine is simply one whose
+store is a :class:`~repro.iotdb.backends.MemoryStore`.
 
 Crash consistency (exercised by the ``repro.faults`` harness): every
 operation that can die mid-way leaves a recoverable disk state.  Sinks are
@@ -45,15 +45,14 @@ index damage can cost a rebuild but never a wrong answer.
 Lock hierarchy: ``StorageEngine._lock`` → ``StorageShard._lock`` →
 {``MemTable._lock``, ``SegmentedWal._lock``, ``FaultInjector._lock``,
 ``MetricsRegistry._lock``} → ``MemoryStore._lock`` (the in-memory
-backend's blob table; a leaf — store methods never call out under it).
+backend's blob table, under every engine without a ``data_dir``; a leaf —
+store methods never call out under it).
 A shard never acquires the engine lock or another shard's lock.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.analysis.concurrency import apply_guards, create_lock, holds
 from repro.errors import StorageError
@@ -79,11 +78,11 @@ class _SealedFile:
 
     space: Space
     reader: TsFileReader
-    #: Blob-store key of the published file (``None`` = in-memory only).
-    key: str | None = None
-    buffer: io.BytesIO | None = None
-    #: Temporary key the sink is written under until sealed (persisted
-    #: sinks only).
+    #: Blob-store key of the published file.
+    key: str
+    #: The store handle the file is written through, then read from.
+    buffer: object
+    #: Temporary key the sink is written under until sealed.
     part_key: str | None = None
     #: Stable id (``<space>-<counter>``) keying this file in the shard's
     #: interval index; counters are never reused within a shard.
@@ -102,11 +101,6 @@ class _FlushTask:
     #: True when sealing this memtable releases a crash-recovery hold on
     #: the replayed WAL segments (see ``StorageShard.recover``).
     releases_recovery_hold: bool = False
-
-
-def shard_directory(data_dir: Path, shard_id: int) -> Path:
-    """Where shard ``shard_id`` keeps its TsFiles and WAL segments."""
-    return Path(data_dir) / f"shard-{shard_id:02d}"
 
 
 class StorageShard:
@@ -145,8 +139,8 @@ class StorageShard:
         faults,
         instruments,
         executor: TimeRangeQueryExecutor,
+        store,
         fresh: bool = True,
-        store=None,
     ) -> None:
         self.shard_id = shard_id
         self.config = config
@@ -157,21 +151,10 @@ class StorageShard:
         self._instruments = instruments
         self._shard_instruments = instruments.for_shard(shard_id)
         self._executor = executor
-        if store is None and config.data_dir is not None:
-            # Direct construction (outside the engine factories) keeps the
-            # historical behaviour: persistence over the local directory.
-            from repro.iotdb.backends.local import LocalDirStore
-
-            store = LocalDirStore(config.data_dir)
-        #: Where this shard persists bytes (``None`` = pure in-memory).
+        #: Where this shard persists bytes (the engine's BlobStore).
         self.store = store
         #: This shard's key namespace inside the store.
         self.prefix = f"shard-{shard_id:02d}/"
-        self.data_dir: Path | None = (
-            shard_directory(config.data_dir, shard_id)
-            if config.data_dir is not None
-            else None
-        )
         self._lock = create_lock("StorageShard._lock")
         self._working: dict[Space, MemTable] = {
             Space.SEQUENCE: MemTable(config, obs=obs),
@@ -184,38 +167,29 @@ class StorageShard:
         # access happens under this shard's lock.
         self._index = IntervalIndex()
         self._flush_reports: list[FlushReport] = []
-        if self.store is not None:
-            # Materialise the shard's namespace eagerly where the backend
-            # has real directories — keeps the local tree identical to the
-            # historical layout down to empty shard directories.
-            self.store.ensure_prefix(self.prefix)
+        # Materialise the shard's namespace eagerly where the backend has
+        # real directories — keeps the local tree identical to the
+        # historical layout down to empty shard directories.
+        self.store.ensure_prefix(self.prefix)
         # WAL segments recovered by recover() that must survive until every
         # memtable holding their replayed points has been sealed.
         self._recovery_segments: dict[Space, list[int]] = {}
         self._recovery_holds: set[Space] = set()
         self._wals: dict[Space, SegmentedWal] | None = None
         if config.wal_enabled and fresh:
-            if self.store is not None:
-                # Fresh-start semantics: any WAL segments left behind are
-                # deleted; StorageEngine.open (via recover()) replays them
-                # instead.
-                self._wals = {
-                    space: SegmentedWal.on_store(
-                        self.store,
-                        self.prefix,
-                        space.value,
-                        fresh=True,
-                        wrap=self.faults.wrap_file,
-                    )
-                    for space in (Space.SEQUENCE, Space.UNSEQUENCE)
-                }
-            else:
-                self._wals = {
-                    space: SegmentedWal.in_memory(
-                        space.value, wrap=self.faults.wrap_file
-                    )
-                    for space in (Space.SEQUENCE, Space.UNSEQUENCE)
-                }
+            # Fresh-start semantics: any WAL segments left behind are
+            # deleted; StorageEngine.open (via recover()) replays them
+            # instead.
+            self._wals = {
+                space: SegmentedWal.on_store(
+                    self.store,
+                    self.prefix,
+                    space.value,
+                    fresh=True,
+                    wrap=self.faults.wrap_file,
+                )
+                for space in (Space.SEQUENCE, Space.UNSEQUENCE)
+            }
         apply_guards(self)
 
     # -- write path ----------------------------------------------------------
@@ -294,15 +268,10 @@ class StorageShard:
 
     @holds("_lock")
     def _new_sink(self, space: Space) -> tuple[TsFileWriter, _SealedFile]:
-        """A fresh sink; on disk it is written under a ``.part`` name until
-        sealed, so a crash mid-write can never leave a torn ``.tsfile``."""
+        """A fresh sink; it is written under a ``.part`` key until sealed,
+        so a crash mid-write can never leave a torn ``.tsfile``."""
         self._file_counter += 1
         file_id = f"{space.value}-{self._file_counter:06d}"
-        if self.store is None:
-            buffer = io.BytesIO()
-            return TsFileWriter(buffer), _SealedFile(
-                space=space, reader=None, buffer=buffer, file_id=file_id
-            )
         key = f"{self.prefix}{file_id}.tsfile"
         part_key = key + ".part"
         handle = self.faults.wrap_file(
@@ -319,21 +288,19 @@ class StorageShard:
         self.faults.crash_point(
             "flush.seal", space=sealed.space.value, shard=self.shard_id
         )
-        if sealed.part_key is not None:
-            self.store.rename_atomic(sealed.part_key, sealed.key)
-            sealed.part_key = None
-            self.faults.crash_point(
-                "flush.sealed", space=sealed.space.value, shard=self.shard_id
-            )
+        self.store.rename_atomic(sealed.part_key, sealed.key)
+        sealed.part_key = None
+        self.faults.crash_point(
+            "flush.sealed", space=sealed.space.value, shard=self.shard_id
+        )
         sealed.reader = TsFileReader(sealed.buffer)
 
     def _discard_sink(self, sealed: _SealedFile) -> None:
         """Drop a partially written sink after a recoverable failure."""
-        if sealed.buffer is not None and not isinstance(sealed.buffer, io.BytesIO):
-            try:
-                sealed.buffer.close()
-            except OSError:
-                pass
+        try:
+            sealed.buffer.close()
+        except OSError:
+            pass
         if sealed.part_key is not None:
             self.store.delete(sealed.part_key, missing_ok=True)
 
@@ -442,10 +409,7 @@ class StorageShard:
     @holds("_lock")
     def _persist_index(self) -> None:
         """Write the interval index next to the TsFiles (atomic; fault
-        sites ``index.write``/``index.swap``).  In-memory shards keep the
-        index only in memory."""
-        if self.store is None:
-            return
+        sites ``index.write``/``index.swap``)."""
         self._index.save_to(
             self.store, self.prefix + INDEX_FILE_NAME, faults=self.faults
         )
@@ -745,15 +709,13 @@ class StorageShard:
         """
         removing = {f.file_id for f in to_remove}
         for old in to_remove:
-            if old.buffer is not None and not isinstance(old.buffer, io.BytesIO):
-                old.buffer.close()
-            if old.key is not None:
-                self.faults.crash_point(
-                    "compact.unlink",
-                    file=old.key.rsplit("/", 1)[-1],
-                    shard=self.shard_id,
-                )
-                self.store.delete(old.key, missing_ok=True)
+            old.buffer.close()
+            self.faults.crash_point(
+                "compact.unlink",
+                file=old.key.rsplit("/", 1)[-1],
+                shard=self.shard_id,
+            )
+            self.store.delete(old.key, missing_ok=True)
         survivors = [f for f in self._sealed if f.file_id not in removing]
         if replacement is not None:
             survivors.append(replacement)  # repro: allow(stats-accounting): file set, not a sort
@@ -795,15 +757,11 @@ class StorageShard:
         }
 
     def close(self) -> None:
-        """Flush everything and release this shard's on-disk file handles."""
+        """Flush everything and release this shard's store handles."""
         self.flush_all()
         with self._lock:
-            if self.store is not None:
-                for sealed in self._sealed:
-                    if sealed.buffer is not None and not isinstance(
-                        sealed.buffer, io.BytesIO
-                    ):
-                        sealed.buffer.close()
+            for sealed in self._sealed:
+                sealed.buffer.close()
             if self._wals is not None:
                 for wal in self._wals.values():
                     wal.close()
@@ -829,30 +787,6 @@ class StorageShard:
 
     # -- recovery ----------------------------------------------------------------
 
-    def recover_from_wal(self) -> int:
-        """Replay this shard's WALs into its working memtables.
-
-        Returns the number of replayed points.  Only meaningful on a fresh
-        shard constructed over the same WAL buffers.  Replayed points are
-        routed through the separation policy, so the sequence memtable
-        invariant (no point at or below the watermark) holds afterwards.
-        """
-        with self._lock:
-            if self._wals is None:
-                raise StorageError("WAL is disabled in this configuration")
-            replayed = 0
-            with self.obs.span("engine.wal_replay", shard=self.shard_id) as span:
-                for _space, wal in self._wals.items():
-                    for device, sensor, timestamp, value in wal.replay():
-                        target = self.separation.route(device, timestamp)
-                        self._working[target].write(device, sensor, timestamp, value)
-                        replayed += 1
-                span.set(points=replayed)
-        self._instruments.points_written.inc(replayed)
-        self._shard_instruments.points_written.inc(replayed)
-        self._instruments.wal_replayed.inc(replayed)
-        return replayed
-
     def recover(self) -> int:
         """Rebuild this shard from its persisted key prefix (crash recovery).
 
@@ -868,12 +802,6 @@ class StorageShard:
         only then is it safe to drop them.  Returns the number of WAL
         points replayed.
         """
-        if self.store is None:
-            raise StorageError(
-                "shard recovery requires a persistent backend "
-                "(a data_dir or an explicit BlobStore)"
-            )
-
         # A crash mid-flush or mid-compaction leaves a partially written
         # sink under its .part key: never sealed, never readable, safe to
         # discard.  Same for a torn interval-index .part: the published

@@ -45,7 +45,6 @@ import io
 import json
 import struct
 import zlib
-from pathlib import Path
 from typing import Callable, Iterator
 
 from repro.analysis.concurrency import apply_guards, create_lock, holds
@@ -196,12 +195,11 @@ class WriteAheadLog:
 
 
 class _Segment:
-    """One WAL segment: id, codec, and (for persisted segments) its
-    blob-store key."""
+    """One WAL segment: id, codec, and its blob-store key."""
 
     __slots__ = ("segment_id", "wal", "key")
 
-    def __init__(self, segment_id: int, wal: WriteAheadLog, key: str | None) -> None:
+    def __init__(self, segment_id: int, wal: WriteAheadLog, key: str) -> None:
         self.segment_id = segment_id
         self.wal = wal
         self.key = key
@@ -228,13 +226,13 @@ class SegmentedWal:
     def __init__(
         self,
         *,
-        store=None,
+        store,
         prefix: str = "",
         space: str,
         wrap: Callable | None = None,
     ) -> None:
-        # All persistence goes through a BlobStore (None = in-memory
-        # segments); ``prefix`` scopes this WAL's keys (e.g. "shard-00/").
+        # All persistence goes through a BlobStore; ``prefix`` scopes this
+        # WAL's keys (e.g. "shard-00/").
         self._store = store
         self._prefix = prefix
         self._space = space
@@ -252,34 +250,7 @@ class SegmentedWal:
         self._flush_count = 0  # repro: guarded_by(_lock)
         apply_guards(self)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def in_memory(cls, space: str, *, wrap: Callable | None = None) -> "SegmentedWal":
-        wal = cls(store=None, space=space, wrap=wrap)
-        with wal._lock:
-            wal._start_active()
-        return wal
-
-    @classmethod
-    def on_disk(
-        cls,
-        directory: Path,
-        space: str,
-        *,
-        fresh: bool,
-        wrap: Callable | None = None,
-    ) -> "SegmentedWal":
-        """Open the segment set under a local ``directory``.
-
-        A thin veneer over :meth:`on_store` with a
-        :class:`~repro.iotdb.backends.LocalDirStore` rooted at
-        ``directory`` — segment names and bytes are identical to what the
-        pre-backend code wrote.
-        """
-        from repro.iotdb.backends.local import LocalDirStore
-
-        return cls.on_store(LocalDirStore(directory), "", space, fresh=fresh, wrap=wrap)
+    # -- constructor ------------------------------------------------------
 
     @classmethod
     def on_store(
@@ -293,8 +264,9 @@ class SegmentedWal:
     ) -> "SegmentedWal":
         """Open the segment set stored under ``prefix`` in ``store``.
 
-        ``fresh=True`` is the constructor's fresh-start semantics: any
-        leftover segments are deleted.  ``fresh=False`` (recovery) keeps
+        ``fresh=True`` is the fresh-start semantics of
+        ``StorageEngine.create``: any leftover segments are deleted.
+        ``fresh=False`` (recovery) keeps
         them as sealed segments so :meth:`replay` surfaces their records;
         the engine drops them once the replayed points are sealed.
         """
@@ -331,12 +303,8 @@ class SegmentedWal:
     def _start_active(self) -> None:
         segment_id = self._next_id
         self._next_id += 1
-        if self._store is None:
-            fileobj, key = io.BytesIO(), None
-        else:
-            key = f"{self._prefix}wal-{self._space}-{segment_id:06d}.log"
-            fileobj = self._store.open_write(key)
-        wrapped = self._wrap(fileobj, site="wal.write")
+        key = f"{self._prefix}wal-{self._space}-{segment_id:06d}.log"
+        wrapped = self._wrap(self._store.open_write(key), site="wal.write")
         self._active = _Segment(segment_id, WriteAheadLog(wrapped), key)
         self._segments.append(self._active)
 
@@ -357,8 +325,7 @@ class SegmentedWal:
                             f"cannot drop the active WAL segment {segment_id}"
                         )
                     segment.wal.close()
-                    if segment.key is not None:
-                        self._store.delete(segment.key, missing_ok=True)
+                    self._store.delete(segment.key, missing_ok=True)
                     self._segments.remove(segment)
                     return
             raise StorageError(f"unknown WAL segment {segment_id}")

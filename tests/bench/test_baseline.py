@@ -6,7 +6,6 @@ import json
 from pathlib import Path
 
 from repro.bench.baseline import (
-    BACKENDS,
     DELAY_MODELS,
     INGEST_SHARD_COUNTS,
     check_baseline,
@@ -33,7 +32,7 @@ def test_collect_is_deterministic():
     wal_cells = {"wal_bytes/frame=single", "wal_bytes/frame=batch"}
     path_cells = {"ingest/path=point", "ingest/path=batch"}
     flush_cells = {"flush/lcache=on", "flush/lcache=off"}
-    backend_cells = {f"ingest/backend={backend}" for backend in BACKENDS}
+    backend_cells = {"ingest/backend=local"}
     assert set(first["cells"]) == (
         sorter_cells
         | ingest_cells

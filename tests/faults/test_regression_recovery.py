@@ -260,7 +260,10 @@ class TestTornIndexRebuilds:
         # The rebuild was persisted: the on-disk file parses again.
         from repro.iotdb import IntervalIndex
 
-        assert len(IntervalIndex.load(index_path)) > 0
+        reloaded = IntervalIndex.load_from(
+            recovered.store, "shard-00/interval-index.json"
+        )
+        assert len(reloaded) > 0
         recovered.close()
 
     def test_missing_index_file_rebuilds_on_open(self, tmp_path):

@@ -1,11 +1,12 @@
 """Differential parity across persistence backends.
 
-The pluggable backend must change nothing: the same workload driven over
-the v1 local layout, the v2 layout on a ``LocalDirStore``, and the v2
-layout on a ``MemoryStore`` must produce identical query results,
+The store must change nothing: the same workload driven over a
+``data_dir`` tree (stamped v1), an explicit ``LocalDirStore`` (v2-local),
+and a ``MemoryStore`` (v2-memory) must produce identical query results,
 identical persisted bytes (below ``meta/``), and identical post-crash
 recoveries.  These tests are the differential proof behind the "v1 stays
-byte-for-byte identical" guarantee.
+byte-for-byte identical" guarantee — and the reason the ops baseline
+pins a single ``ingest/backend=local`` cell.
 """
 
 from __future__ import annotations
@@ -14,16 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.iotdb import IoTDBConfig, MemoryStore, StorageEngine
+from repro.iotdb import IoTDBConfig, LocalDirStore, MemoryStore, StorageEngine
 from tests.conftest import make_delayed_stream
 
 BACKENDS = ("v1", "v2-local", "v2-memory")
 
 
-def _config(data_dir, version, **kw):
+def _config(data_dir=None, **kw):
     defaults = dict(
         data_dir=data_dir,
-        engine_version=version,
         wal_enabled=True,
         memtable_flush_threshold=120,
         shards=2,
@@ -34,17 +34,26 @@ def _config(data_dir, version, **kw):
 
 def _build(backend, tmp_path, **kw):
     """(engine, store, data_dir) for one backend flavour."""
-    if backend == "v2-memory":
-        store = MemoryStore()
-        engine = StorageEngine.create(
-            _config(None, 2, **kw), backend=store
-        )
-        return engine, store, None
-    data_dir = tmp_path / backend / "data"
-    engine = StorageEngine.create(
-        _config(data_dir, 1 if backend == "v1" else 2, **kw)
-    )
-    return engine, engine.store, data_dir
+    if backend == "v1":
+        data_dir = tmp_path / backend / "data"
+        engine = StorageEngine.create(_config(data_dir, **kw))
+        return engine, engine.store, data_dir
+    if backend == "v2-local":
+        data_dir = tmp_path / backend / "data"
+        store = LocalDirStore(data_dir)
+    else:
+        data_dir, store = None, MemoryStore()
+    return StorageEngine.create(_config(**kw), backend=store), store, data_dir
+
+
+def _reopen(backend, store, data_dir):
+    """``StorageEngine.open`` through the access path ``_build`` used."""
+    if backend == "v1":
+        return StorageEngine.open(_config(data_dir))
+    if backend == "v2-local":
+        # A fresh store object: nothing may ride over in process memory.
+        store = LocalDirStore(data_dir)
+    return StorageEngine.open(_config(), backend=store)
 
 
 def _drive(engine, n=500, seed=3):
@@ -131,7 +140,7 @@ class TestByteParity:
         assert memory_tree == local_tree
 
     def test_meta_stamps_differ_only_in_version(self, tmp_path):
-        from repro.iotdb import LocalDirStore, read_meta
+        from repro.iotdb import read_meta
 
         for backend, version in (("v1", 1), ("v2-local", 2)):
             engine, _, data_dir = _build(backend, tmp_path)
@@ -151,12 +160,7 @@ class TestCrashReopenParity:
             # Abandon without close: sealed files + WAL tails must carry
             # the full state through StorageEngine.open on every backend.
             del engine
-            if backend == "v2-memory":
-                reborn = StorageEngine.open(_config(None, 2), backend=store)
-            else:
-                reborn = StorageEngine.open(
-                    _config(data_dir, 1 if backend == "v1" else 2)
-                )
+            reborn = _reopen(backend, store, data_dir)
             recovered[backend] = {
                 device: (r.timestamps, r.values)
                 for device, r in _query_state(reborn, horizon).items()
@@ -176,7 +180,7 @@ class TestCrashReopenParity:
             written.setdefault(device, {})[t] = v
         horizon = max(stream.timestamps) + 1
         del engine
-        reborn = StorageEngine.open(_config(None, 2), backend=store)
+        reborn = _reopen("v2-memory", store, None)
         for device, expected in written.items():
             result = reborn.query(device, "s", 0, horizon)
             assert dict(zip(result.timestamps, result.values)) == expected

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.concurrency import apply_guards
 from repro.errors import QueryError, StorageError
 from repro.iotdb import IoTDBConfig, Space, StorageEngine
 from repro.sorting import PAPER_ALGORITHMS
@@ -153,16 +152,13 @@ class TestWalRecovery:
         config = IoTDBConfig(wal_enabled=True, memtable_flush_threshold=10_000)
         engine = StorageEngine.create(config)
         _fill(engine, make_delayed_stream(200, seed=9))
-        # Simulate a crash: rebuild a fresh engine over the same WAL buffers.
-        reborn = StorageEngine.create(config)
-        shard, reborn_shard = engine.shards[0], reborn.shards[0]
-        with shard._lock, reborn_shard._lock:
-            reborn_shard._wals = dict(shard._wals)
-        apply_guards(reborn_shard)  # re-wrap the transplant under reborn's lock
-        replayed = reborn.recover_from_wal()
-        assert replayed == 200
+        # Simulate a crash: abandon the engine (never closed, nothing
+        # flushed) and reopen over the store it owned.
+        reborn = StorageEngine.open(config, backend=engine.store)
+        assert reborn._instruments.wal_replayed.value == 200
         result = reborn.query("root.d1", "s1", 0, 200)
         assert result.timestamps == list(range(200))
+        reborn.close()
 
     def test_wal_truncated_after_flush(self):
         config = IoTDBConfig(wal_enabled=True, memtable_flush_threshold=100)
@@ -172,11 +168,6 @@ class TestWalRecovery:
         with shard._lock:
             wal = shard._wals[Space.SEQUENCE]
         assert wal.size_bytes() == 0
-
-    def test_recover_requires_wal_enabled(self):
-        engine = StorageEngine.create(IoTDBConfig(wal_enabled=False))
-        with pytest.raises(StorageError):
-            engine.recover_from_wal()
 
 
 class TestOnDiskFiles:

@@ -112,7 +112,7 @@ class TestQueryExecutor:
         memtable.write_batch("d", "s", [3, 5, 4], [3.0, 5.0, 4.0])
         result = executor.execute(
             "d", "s", 0, 10,
-            seq_readers=[reader], unseq_readers=[],
+            seq_files=[(None, reader)], unseq_files=[],
             flushing_memtables=[], working_memtable=memtable,
         )
         assert result.timestamps == [0, 1, 2, 3, 4, 5]
@@ -129,7 +129,7 @@ class TestQueryExecutor:
         working.write("d", "s", 5, 4.0)
         result = executor.execute(
             "d", "s", 0, 10,
-            seq_readers=[seq], unseq_readers=[unseq],
+            seq_files=[(None, seq)], unseq_files=[(None, unseq)],
             flushing_memtables=[flushing], working_memtable=working,
         )
         assert result.values == [4.0]
@@ -140,7 +140,7 @@ class TestQueryExecutor:
         memtable.write_batch("d", "s", [1, 50, 99], [1.0, 50.0, 99.0])
         result = executor.execute(
             "d", "s", 40, 60,
-            seq_readers=[], unseq_readers=[],
+            seq_files=[], unseq_files=[],
             flushing_memtables=[], working_memtable=memtable,
         )
         assert result.timestamps == [50]
@@ -150,7 +150,7 @@ class TestQueryExecutor:
         with pytest.raises(QueryError):
             executor.execute(
                 "d", "s", 5, 5,
-                seq_readers=[], unseq_readers=[],
+                seq_files=[], unseq_files=[],
                 flushing_memtables=[], working_memtable=None,
             )
 
@@ -160,7 +160,7 @@ class TestQueryExecutor:
         memtable.write_batch("d", "s", list(range(100)), [float(i) for i in range(100)])
         result = executor.execute(
             "d", "s", 10, 20,
-            seq_readers=[], unseq_readers=[],
+            seq_files=[], unseq_files=[],
             flushing_memtables=[], working_memtable=memtable,
         )
         assert result.stats.points_scanned == 100

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IndexCorruptionError
+from repro.iotdb.backends import LocalDirStore
+from repro.iotdb.interval_index import INDEX_FILE_NAME as KEY
 from repro.iotdb.interval_index import IndexEntry, IntervalIndex
 
 
@@ -113,44 +115,45 @@ def test_empty_and_inverted_ranges_have_no_candidates(entries, start):
 @settings(max_examples=50, deadline=None)
 @given(entries=_entry_tables())
 def test_save_load_roundtrip(entries, tmp_path_factory):
-    path = tmp_path_factory.mktemp("idx") / "interval-index.json"
+    store = LocalDirStore(tmp_path_factory.mktemp("idx"))
     index = IntervalIndex(entries)
-    index.save(path)
-    loaded = IntervalIndex.load(path)
+    index.save_to(store, KEY)
+    loaded = IntervalIndex.load_from(store, KEY)
     assert loaded.entries() == index.entries()
 
 
 def test_every_truncation_prefix_is_detected(tmp_path):
-    path = tmp_path / "interval-index.json"
+    store = LocalDirStore(tmp_path)
     entries = [
         IndexEntry(file_id=f"seq-{i:06d}", space="seq", min_time=i, max_time=i + 5)
         for i in range(4)
     ]
-    IntervalIndex(entries).save(path)
-    blob = path.read_bytes()
+    IntervalIndex(entries).save_to(store, KEY)
+    blob = store.get(KEY)
     for cut in range(len(blob)):
-        path.write_bytes(blob[:cut])
+        store.put(KEY, blob[:cut])
         with pytest.raises(IndexCorruptionError):
-            IntervalIndex.load(path)
-    path.write_bytes(blob)
-    assert IntervalIndex.load(path).entries() == IntervalIndex(entries).entries()
+            IntervalIndex.load_from(store, KEY)
+    store.put(KEY, blob)
+    loaded = IntervalIndex.load_from(store, KEY)
+    assert loaded.entries() == IntervalIndex(entries).entries()
 
 
 def test_bit_flips_are_detected(tmp_path):
-    path = tmp_path / "interval-index.json"
+    store = LocalDirStore(tmp_path)
     IntervalIndex(
         [IndexEntry(file_id="unseq-000001", space="unseq", min_time=3, max_time=9)]
-    ).save(path)
-    blob = bytearray(path.read_bytes())
+    ).save_to(store, KEY)
+    blob = store.get(KEY)
     flipped = bytearray(blob)
     # Flip one bit inside the JSON payload (past magic + checksum lines).
     payload_start = blob.index(b"\n", blob.index(b"\n") + 1) + 1
     flipped[payload_start + 5] ^= 0x04
-    path.write_bytes(bytes(flipped))
+    store.put(KEY, bytes(flipped))
     with pytest.raises(IndexCorruptionError):
-        IntervalIndex.load(path)
+        IntervalIndex.load_from(store, KEY)
 
 
 def test_missing_file_is_corruption_not_crash(tmp_path):
     with pytest.raises(IndexCorruptionError):
-        IntervalIndex.load(tmp_path / "no-such-index.json")
+        IntervalIndex.load_from(LocalDirStore(tmp_path), "no-such-index.json")

@@ -14,6 +14,8 @@ from repro.errors import (
 )
 from repro.iotdb import (
     IoTDBConfig,
+    LocalDirStore,
+    MemoryStore,
     MemTable,
     MemTableState,
     SegmentedWal,
@@ -223,7 +225,7 @@ class TestWalStrictDiagnostics:
 
 class TestSegmentedWal:
     def test_rotate_and_replay_order(self):
-        wal = SegmentedWal.in_memory("seq")
+        wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
         wal.append("d", "s", 1, 1.0)
         sealed_id = wal.rotate()
         wal.append("d", "s", 2, 2.0)
@@ -231,7 +233,7 @@ class TestSegmentedWal:
         assert list(wal.replay()) == [("d", "s", 1, 1.0), ("d", "s", 2, 2.0)]
 
     def test_drop_removes_only_that_segment(self):
-        wal = SegmentedWal.in_memory("seq")
+        wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
         wal.append("d", "s", 1, 1.0)
         first = wal.rotate()
         wal.append("d", "s", 2, 2.0)
@@ -239,7 +241,7 @@ class TestSegmentedWal:
         assert list(wal.replay()) == [("d", "s", 2, 2.0)]
 
     def test_cannot_drop_active_or_unknown_segment(self):
-        wal = SegmentedWal.in_memory("seq")
+        wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
         (active,) = wal.segment_ids()
         with pytest.raises(StorageError):
             wal.drop(active)
@@ -247,25 +249,25 @@ class TestSegmentedWal:
             wal.drop(999)
 
     def test_on_disk_fresh_deletes_recovery_keeps(self, tmp_path):
-        wal = SegmentedWal.on_disk(tmp_path, "seq", fresh=True)
+        wal = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=True)
         wal.append("d", "s", 1, 1.0)
         wal.rotate()
         wal.append("d", "s", 2, 2.0)
         wal.close()
 
-        recovered = SegmentedWal.on_disk(tmp_path, "seq", fresh=False)
+        recovered = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=False)
         assert list(recovered.replay()) == [("d", "s", 1, 1.0), ("d", "s", 2, 2.0)]
         # Recovered segments are sealed; ids never collide with the new active.
         assert len(recovered.sealed_segment_ids()) == 2
         recovered.close()
 
-        fresh = SegmentedWal.on_disk(tmp_path, "seq", fresh=True)
+        fresh = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=True)
         assert list(fresh.replay()) == []
         fresh.close()
 
     def test_spaces_are_isolated_on_disk(self, tmp_path):
-        seq = SegmentedWal.on_disk(tmp_path, "seq", fresh=True)
-        unseq = SegmentedWal.on_disk(tmp_path, "unseq", fresh=True)
+        seq = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=True)
+        unseq = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "unseq", fresh=True)
         seq.append("d", "s", 1, 1.0)
         unseq.append("d", "s", 2, 2.0)
         assert list(seq.replay()) == [("d", "s", 1, 1.0)]
@@ -276,4 +278,4 @@ class TestSegmentedWal:
     def test_unrecognised_segment_name_rejected(self, tmp_path):
         (tmp_path / "wal-seq-bogus.log").write_bytes(b"junk")
         with pytest.raises(StorageError):
-            SegmentedWal.on_disk(tmp_path, "seq", fresh=False)
+            SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=False)

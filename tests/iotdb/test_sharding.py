@@ -9,7 +9,6 @@ import pytest
 
 from repro.errors import StorageError
 from repro.iotdb import IoTDBConfig, Space, StorageEngine
-from repro.iotdb.shard import shard_directory
 from repro.obs import Observability
 
 DEVICES = [f"root.sg.d{i}" for i in range(8)]
@@ -59,8 +58,7 @@ class TestDirectories:
         _fill(engine, points=20)
         engine.close()
         for device in DEVICES:
-            owner = engine.shard_for(device).shard_id
-            owner_dir = shard_directory(tmp_path / "data", owner)
+            owner_dir = tmp_path / "data" / engine.shard_for(device).prefix
             assert list(owner_dir.glob("*.tsfile"))
         sharded = set((tmp_path / "data").rglob("*.tsfile"))
         root_level = set((tmp_path / "data").glob("*.tsfile"))
@@ -98,10 +96,6 @@ class TestOpen:
 
 
 class TestFrontDoor:
-    def test_direct_constructor_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="StorageEngine.create"):
-            StorageEngine(IoTDBConfig())
-
     def test_factories_do_not_warn(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

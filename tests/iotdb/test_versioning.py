@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import (
-    InvalidParameterError,
-    MetaCorruptionError,
-    StorageError,
-)
+from repro.errors import MetaCorruptionError, StorageError
 from repro.iotdb import (
     ENGINE_META_KEY,
     EngineMeta,
@@ -52,56 +48,40 @@ class TestCreateStamps:
         assert meta == EngineMeta(version=1, backend="local", shards=1)
 
     def test_v2_local_create_stamps_version_2(self, tmp_path):
-        engine = StorageEngine.create(_config(tmp_path, engine_version=2))
+        store = LocalDirStore(tmp_path / "data")
+        engine = StorageEngine.create(_config(), backend=store)
         engine.close()
-        meta = read_meta(LocalDirStore(tmp_path / "data"))
-        assert meta == EngineMeta(version=2, backend="local", shards=1)
+        assert read_meta(store) == EngineMeta(version=2, backend="local", shards=1)
 
     def test_v2_memory_create_stamps_store(self):
         store = MemoryStore()
-        engine = StorageEngine.create(
-            _config(shards=3), version=2, backend=store
-        )
+        engine = StorageEngine.create(_config(shards=3), backend=store)
         engine.close()
         assert read_meta(store) == EngineMeta(version=2, backend="memory", shards=3)
 
-    def test_version_kwarg_overrides_config(self, tmp_path):
-        engine = StorageEngine.create(_config(tmp_path), version=2)
-        engine.close()
-        assert read_meta(LocalDirStore(tmp_path / "data")).version == 2
-
-    def test_in_memory_v1_engine_has_no_store(self):
-        engine = StorageEngine.create(_config())
-        assert engine.store is None
+    def test_in_memory_engine_owns_a_stamped_memory_store(self):
+        engine = StorageEngine.create(IoTDBConfig())
+        assert isinstance(engine.store, MemoryStore)
+        assert all(shard.store is engine.store for shard in engine.shards)
+        assert engine.engine_version == 2
+        assert read_meta(engine.store) == EngineMeta(
+            version=2, backend="memory", shards=1
+        )
         engine.close()
 
 
 class TestCreateParameterContract:
-    def test_config_rejects_unknown_engine_version(self):
-        with pytest.raises(InvalidParameterError, match="engine_version"):
-            IoTDBConfig(engine_version=3)
-
-    def test_create_rejects_unknown_version(self, tmp_path):
-        with pytest.raises(StorageError, match="must be 1 or 2"):
-            StorageEngine.create(_config(tmp_path), version=7)
-
-    def test_v1_rejects_explicit_backend(self):
-        with pytest.raises(StorageError, match="version 1"):
-            StorageEngine.create(_config(), version=1, backend=MemoryStore())
-
     def test_v2_rejects_backend_plus_data_dir(self, tmp_path):
         with pytest.raises(StorageError, match="not both"):
-            StorageEngine.create(
-                _config(tmp_path), version=2, backend=MemoryStore()
-            )
-
-    def test_v2_requires_some_backend(self):
-        with pytest.raises(StorageError, match="backend"):
-            StorageEngine.create(_config(), version=2)
+            StorageEngine.create(_config(tmp_path), backend=MemoryStore())
 
     def test_open_rejects_backend_plus_data_dir(self, tmp_path):
         with pytest.raises(StorageError, match="not both"):
             StorageEngine.open(_config(tmp_path), backend=MemoryStore())
+
+    def test_open_requires_some_access_path(self):
+        with pytest.raises(StorageError, match="data_dir configuration or a backend"):
+            StorageEngine.open(_config())
 
 
 class TestOpenDispatch:
@@ -116,7 +96,11 @@ class TestOpenDispatch:
         reborn.close()
 
     def test_validated_v2_local_roundtrip(self, tmp_path):
-        engine = StorageEngine.create(_config(tmp_path, engine_version=2))
+        # Matrix row 2: a v2 tree created through an explicit LocalDirStore
+        # reopens through data_dir as validated v2.
+        engine = StorageEngine.create(
+            _config(), backend=LocalDirStore(tmp_path / "data")
+        )
         _fill(engine)
         del engine
         reborn = StorageEngine.open(_config(tmp_path))
@@ -127,7 +111,7 @@ class TestOpenDispatch:
 
     def test_validated_v2_memory_roundtrip(self):
         store = MemoryStore()
-        engine = StorageEngine.create(_config(), version=2, backend=store)
+        engine = StorageEngine.create(_config(), backend=store)
         _fill(engine)
         engine.close()
         reborn = StorageEngine.open(_config(), backend=store)
@@ -151,7 +135,7 @@ class TestOpenDispatch:
 
     def test_unversioned_store_inferred_v2_and_stamped(self):
         store = MemoryStore()
-        engine = StorageEngine.create(_config(), version=2, backend=store)
+        engine = StorageEngine.create(_config(), backend=store)
         _fill(engine)
         engine.close()
         store.delete(ENGINE_META_KEY)
@@ -239,9 +223,7 @@ class TestOpenDispatch:
 
     def test_meta_shards_mismatch_refused(self):
         store = MemoryStore()
-        engine = StorageEngine.create(
-            _config(shards=3), version=2, backend=store
-        )
+        engine = StorageEngine.create(_config(shards=3), backend=store)
         engine.close()
         with pytest.raises(StorageError, match="3 shards"):
             StorageEngine.open(_config(shards=2), backend=store)

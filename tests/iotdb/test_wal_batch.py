@@ -15,6 +15,7 @@ import io
 import pytest
 
 from repro.errors import WalCorruptionError
+from repro.iotdb.backends import MemoryStore
 from repro.iotdb.wal import SegmentedWal, WriteAheadLog
 
 RECORDS = [
@@ -151,18 +152,18 @@ class _PoisonedLock:
 
 class TestSegmentedWalBatch:
     def test_batch_append_lands_in_the_active_segment(self):
-        wal = SegmentedWal.in_memory("seq")
+        wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
         wal.append_batch(RECORDS)
         assert [tuple(r) for r in wal.replay()] == RECORDS
 
     def test_empty_batch_skips_the_lock_and_the_file(self):
-        wal = SegmentedWal.in_memory("seq")
+        wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
         wal._lock = _PoisonedLock()
         wal.append_batch([])  # early return: the poisoned lock is untouched
         wal.append_batch(iter(()))
 
     def test_stats_accumulate_and_survive_segment_drops(self):
-        wal = SegmentedWal.in_memory("seq")
+        wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
         wal.append(*RECORDS[0])
         wal.append_batch(RECORDS[1:])
         stats = wal.stats()
@@ -174,12 +175,12 @@ class TestSegmentedWalBatch:
         assert wal.size_bytes() < stats["bytes_appended"]
 
     def test_empty_batch_leaves_stats_untouched(self):
-        wal = SegmentedWal.in_memory("seq")
+        wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
         wal.append_batch([])
         assert wal.stats() == {"bytes_appended": 0, "flushes": 0}
 
     def test_replay_spans_batch_frames_across_segments(self):
-        wal = SegmentedWal.in_memory("seq")
+        wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
         wal.append_batch(RECORDS[:2])
         wal.rotate()
         wal.append_batch(RECORDS[2:])
