@@ -126,50 +126,14 @@ def collect_ingest_cells(
     return cells
 
 
-def collect_wal_cells(
-    n: int = DEFAULT_N, seed: int = DEFAULT_SEED
-) -> dict[str, dict[str, int]]:
-    """WAL framing cells: bytes and flushes for the same records, per frame kind.
-
-    The identical seeded record set is appended once as N single-record
-    frames and once as one batch frame.  Byte counts are exact (JSON payload
-    plus the fixed per-frame header/CRC overhead) and flush counts are
-    definitional (one per ``append``, one per ``append_batch``), so both
-    cells are machine-independent.  The checker enforces — structurally,
-    every run — that the batch frame spends strictly fewer bytes than
-    single-record framing for the same points.
-    """
-    from repro.iotdb.wal import WriteAheadLog
-
-    stream = TimeSeriesGenerator(LogNormalDelay(mu=1.0, sigma=1.0)).generate(
-        n, seed=seed
-    )
-    records = [
-        ("root.baseline.w", "s0", t, v)
-        for t, v in zip(stream.timestamps, stream.values)
-    ]
-    single = WriteAheadLog()
-    single_bytes = 0
-    for record in records:
-        single_bytes += single.append(*record)
-    batch = WriteAheadLog()
-    batch_bytes = batch.append_batch(records)
-    return {
-        "wal_bytes/frame=single": {
-            "bytes_appended": single_bytes,
-            "flushes": len(records),
-        },
-        "wal_bytes/frame=batch": {"bytes_appended": batch_bytes, "flushes": 1},
-    }
-
-
 def _ingest_path_wal_work(n: int, seed: int, batched: bool) -> dict[str, int]:
     """WAL work (bytes + flush syscalls) of one ingest run, point vs batch.
 
     The same seeded workload is driven through ``engine.write`` point by
-    point or through ``engine.write_batch`` per generated batch; the WAL is
-    enabled, so the difference between the two cells is exactly the framing
-    and flush amortisation of the batch path.
+    point (batches of one) or through ``engine.write_batch`` per generated
+    batch; the WAL is enabled and both runs go down the one write path, so
+    the difference between the two cells is exactly the framing and flush
+    amortisation a larger batch size buys.
     """
     from repro.bench.workload import WriteOp, build_operations
     from repro.iotdb import IoTDBConfig, StorageEngine
@@ -199,11 +163,11 @@ def _ingest_path_wal_work(n: int, seed: int, batched: bool) -> dict[str, int]:
 def collect_ingest_path_cells(
     n: int = DEFAULT_N, seed: int = DEFAULT_SEED
 ) -> dict[str, dict[str, int]]:
-    """Batch-vs-point ingest cells, measured in WAL work.
+    """Batch-size-1 vs generated-batch ingest cells, measured in WAL work.
 
-    The checker enforces — structurally, every run — that the batch path's
-    total (bytes + flushes) is strictly below the point path's: that is the
-    whole reason the batch path exists.
+    The checker enforces — structurally, every run — that the batched
+    run's total (bytes + flushes) is strictly below the point-by-point
+    run's: that amortisation is the whole reason clients batch.
     """
     return {
         f"ingest/path={name}": _ingest_path_wal_work(n, seed, batched)
@@ -395,7 +359,6 @@ def collect_baseline(n: int = DEFAULT_N, seed: int = DEFAULT_SEED) -> dict:
     cells.update(collect_ingest_cells(n=n, seed=seed))
     cells.update(collect_backend_cells(n=n, seed=seed))
     cells.update(collect_query_index_cells(n=n, seed=seed))
-    cells.update(collect_wal_cells(n=n, seed=seed))
     cells.update(collect_ingest_path_cells(n=n, seed=seed))
     cells.update(collect_flush_cells(n=n, seed=seed))
     return {"n": n, "seed": seed, "cells": cells}
@@ -412,10 +375,9 @@ def check_invariants(current: dict) -> list[str]:
 
     Each one asserts that an optimisation actually wins on its target
     workload, not merely that it doesn't regress: the interval index must
-    open strictly fewer files, the batch WAL frame must spend strictly
-    fewer bytes for the same records, the batch ingest path must do
-    strictly less WAL work than the point path, and the block-size cache
-    must save flush-sort ops on a steady stream.
+    open strictly fewer files, the batch ingest path must do strictly less
+    WAL work than the point path, and the block-size cache must save
+    flush-sort ops on a steady stream.
     """
     cells = current.get("cells", {})
     problems: list[str] = []
@@ -427,16 +389,6 @@ def check_invariants(current: dict) -> list[str]:
             f"query/index=on opened {_total(on)} files but index=off opened "
             f"{_total(off)}: the interval index must open strictly fewer"
         )
-
-    single = cells.get("wal_bytes/frame=single")
-    batch = cells.get("wal_bytes/frame=batch")
-    if single is not None and batch is not None:
-        if batch["bytes_appended"] >= single["bytes_appended"]:
-            problems.append(
-                f"wal_bytes/frame=batch appended {batch['bytes_appended']} bytes "
-                f"but frame=single appended {single['bytes_appended']}: the "
-                "batch frame must spend strictly fewer bytes per point"
-            )
 
     point = cells.get("ingest/path=point")
     batched = cells.get("ingest/path=batch")

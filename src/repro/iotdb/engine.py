@@ -9,12 +9,15 @@ dispatches every series to exactly one shard, so writes to different
 devices proceed concurrently and a series always lands in the same shard
 across restarts.
 
-Write path (§V): a point is routed by its shard's separation policy to the
-sequence or unsequence *working* memtable (optionally after a WAL append);
-when a memtable crosses the flush threshold it transitions to *flushing*,
-is sorted chunk-by-chunk with the configured sorter, encoded, and sealed
-into an immutable TsFile under the shard's ``shard-NN/`` key prefix of the
-engine's :class:`~repro.iotdb.backends.BlobStore`.
+Write path (§V): the batch is the unit of work (``write`` is
+``write_batch`` of one).  Each point of a batch is routed by its shard's
+separation policy to the sequence or unsequence *working* memtable; the
+whole batch is validated, then logged to the WAL (when enabled), then
+applied — all or nothing.  When a memtable crosses the flush threshold it
+transitions to *flushing*, is sorted chunk-by-chunk with the configured
+sorter, encoded, and sealed into an immutable TsFile under the shard's
+``shard-NN/`` key prefix of the engine's
+:class:`~repro.iotdb.backends.BlobStore`.
 
 Query path: a time-range query is answered by the single shard that owns
 the device (series-hash routing makes the per-shard merge degenerate); the
@@ -93,28 +96,15 @@ class _SeparationView:
     Each shard routes with its own :class:`SeparationPolicy` (devices
     partition cleanly across shards, so per-shard watermarks are exactly
     the engine-wide watermarks restricted to that shard's devices).  This
-    view keeps the old single-policy surface working: per-device calls
-    delegate to the owning shard's policy, counters aggregate across all
-    shards.
+    read-only view answers per-device watermark lookups from the owning
+    shard's policy and aggregates counters across all shards.
     """
 
     def __init__(self, engine: "StorageEngine") -> None:
         self._engine = engine
 
-    @property
-    def enabled(self) -> bool:
-        return self._engine.config.separation_enabled
-
-    def route(self, device: str, timestamp: int) -> Space:
-        return self._engine.shard_for(device).separation.route(device, timestamp)
-
     def watermark(self, device: str) -> int | None:
         return self._engine.shard_for(device).separation.watermark(device)
-
-    def update_watermark(self, device: str, max_flushed_time: int) -> None:
-        self._engine.shard_for(device).separation.update_watermark(
-            device, max_flushed_time
-        )
 
     def routed_counts(self) -> dict[Space, int]:
         totals = {Space.SEQUENCE: 0, Space.UNSEQUENCE: 0}
@@ -417,20 +407,19 @@ class StorageEngine:
         return reports
 
     def write(self, device: str, sensor: str, timestamp: int, value) -> None:
-        """Ingest one point; may trigger a synchronous flush.
-
-        The WAL append is flushed before the memtable accepts the point,
-        so a write is durable by the time this method returns.
-        """
-        self.shard_for(device).write(device, sensor, timestamp, value)
+        """Ingest one point: sugar for :meth:`write_batch` of one."""
+        self.write_batch(device, sensor, (timestamp,), (value,))
 
     def write_batch(self, device: str, sensor: str, timestamps, values) -> None:
-        """Ingest a batch (the IoTDB-benchmark client's unit of work).
+        """Ingest a batch (the IoTDB-benchmark client's unit of work, and
+        the engine's: there is no other write path).
 
-        The batch path: one shard-lock acquisition, one batched WAL append
-        per space, one ``should_flush`` check per space at the end of the
-        batch.  The ``engine.write_batch`` span reports the shard and the
-        number of flushes the batch actually triggered.
+        One shard-lock acquisition; the whole batch is validated, then
+        logged (one batched WAL append per space, durable before this
+        returns), then applied, with one ``should_flush`` check per space at
+        the end.  All-or-nothing: a rejected batch changes nothing, in
+        memory or on disk.  The ``engine.write_batch`` span reports the
+        shard and the number of flushes the batch actually triggered.
         """
         if len(timestamps) != len(values):
             raise StorageError("timestamps and values lengths differ")

@@ -5,6 +5,12 @@ memtable (working memtable) and immutable memtable (flushing memtable)."
 A memtable owns one TVList per (device, sensor) column; when its point
 count crosses the flush threshold the engine transitions it from WORKING to
 FLUSHING (no further writes accepted) and hands it to the flush pipeline.
+
+The batch is the only unit of work: :meth:`MemTable.write_batch` is the one
+write entry point (a single point is a batch of one), and the validation it
+performs is also exposed on its own (:func:`check_timestamps`,
+:meth:`MemTable.check_values`) so the shard can reject a bad batch before
+anything is logged.
 """
 
 from __future__ import annotations
@@ -18,6 +24,15 @@ from repro.iotdb.config import IoTDBConfig, TSDataType
 from repro.iotdb.tvlist import TVList
 from repro.iotdb.typed_tvlists import infer_dtype, tvlist_for
 from repro.obs import NOOP, Observability
+
+
+def check_timestamps(timestamps) -> None:
+    """Reject the whole batch unless every timestamp is a (non-bool) int."""
+    for timestamp in timestamps:
+        if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+            raise InvalidParameterError(
+                f"timestamp must be int, got {type(timestamp).__name__}"
+            )
 
 
 class MemTableState(Enum):
@@ -59,31 +74,26 @@ class MemTable:
 
     # -- writes ------------------------------------------------------------
 
-    def write(self, device: str, sensor: str, timestamp: int, value) -> None:
-        """Ingest one point into the column's TVList."""
+    def check_values(self, device: str, sensor: str, values) -> None:
+        """Reject ``values`` unless the column's typed TVList would take
+        every one (the column's pinned type, else the type its first value
+        would pin).  Mutates nothing: the shard runs this over a whole
+        batch *before* logging it, so a rejected write never reaches the
+        WAL, then applies with ``write_batch(..., validated=True)``.
+        """
         with self._lock:
-            if self.state is not MemTableState.WORKING:
-                raise MemTableFlushedError(
-                    f"memtable is {self.state.value}; writes are rejected"
-                )
-            if not isinstance(timestamp, int) or isinstance(timestamp, bool):
-                raise InvalidParameterError(
-                    f"timestamp must be int, got {type(timestamp).__name__}"
-                )
-            key = (device, sensor)
-            tvlist = self._chunks.get(key)
-            if tvlist is None:
-                dtype = infer_dtype(value)
-                tvlist = tvlist_for(dtype, array_size=self.config.array_size)
-                self._chunks[key] = tvlist
-            tvlist.put(timestamp, value)
-            self._total_points += 1
-            self._writes_counter.inc()
+            tvlist = self._chunks.get((device, sensor))
+        if tvlist is None:
+            tvlist = tvlist_for(infer_dtype(values[0]))
+        tvlist.validate_all(values)
 
-    def write_batch(self, device: str, sensor: str, timestamps, values) -> None:
+    def write_batch(
+        self, device: str, sensor: str, timestamps, values, *, validated: bool = False
+    ) -> None:
         """Ingest a whole batch atomically: all points land, or none do.
 
-        One lock acquisition, one state check, then apply-all.  The state is
+        The only write entry point — a single point is a batch of one.  One
+        lock acquisition, one state check, then apply-all.  The state is
         checked exactly once for the whole batch — the pre-fix per-point
         loop reacquired the lock for every point, so a ``mark_flushing``
         racing in mid-batch would half-apply it (accept a prefix, reject the
@@ -91,16 +101,16 @@ class MemTable:
         is also all-or-nothing: timestamps are checked up front and
         :meth:`TVList.put_all` validates every value before mutating, so a
         bad record anywhere in the batch leaves the memtable untouched.
+        ``validated=True`` is the caller's promise that
+        :func:`check_timestamps` and :meth:`check_values` already passed on
+        exactly these arguments, so nothing is validated twice.
         """
         if len(timestamps) != len(values):
             raise InvalidParameterError("timestamps and values lengths differ")
         if not len(timestamps):
             return
-        for timestamp in timestamps:
-            if not isinstance(timestamp, int) or isinstance(timestamp, bool):
-                raise InvalidParameterError(
-                    f"timestamp must be int, got {type(timestamp).__name__}"
-                )
+        if not validated:
+            check_timestamps(timestamps)
         with self._lock:
             if self.state is not MemTableState.WORKING:
                 raise MemTableFlushedError(
@@ -115,7 +125,7 @@ class MemTable:
             # put_all validates every value before appending any, so a
             # validation failure here leaves both the TVList and (via the
             # deferred registration below) the chunk map unchanged.
-            tvlist.put_all(timestamps, values)
+            tvlist.put_all(timestamps, values, validated=validated)
             if created:
                 self._chunks[key] = tvlist
             self._total_points += len(timestamps)

@@ -8,6 +8,13 @@ routes every series to exactly one of them by a stable hash of the device
 id, so shards never share mutable state and writes to different shards
 proceed concurrently.
 
+One write path: the batch is the only unit of work.  ``write_batch``, point
+writes (``StorageEngine.write`` is a batch of one), and WAL replay all run
+the same :meth:`StorageShard._ingest` routine — partition by space,
+validate everything, one WAL ``append_batch`` per non-empty space, apply to
+the memtables, one ``should_flush`` per space — so there is exactly one
+commit point per unit of work and a rejected write leaves no durable trace.
+
 A shard keeps everything (TsFiles and WAL segments) under its own
 ``shard-NN/`` key prefix of the engine's
 :class:`~repro.iotdb.backends.BlobStore` — on the local-directory backend
@@ -53,6 +60,8 @@ A shard never acquires the engine lock or another shard's lock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from repro.analysis.concurrency import apply_guards, create_lock, holds
 from repro.errors import StorageError
@@ -65,7 +74,7 @@ from repro.iotdb.interval_index import (
     build_entries,
     entry_for_sealed,
 )
-from repro.iotdb.memtable import MemTable
+from repro.iotdb.memtable import MemTable, check_timestamps
 from repro.iotdb.query import QueryResult, TimeRangeQueryExecutor
 from repro.iotdb.separation import SeparationPolicy, Space
 from repro.iotdb.tsfile import TsFileReader, TsFileWriter
@@ -200,69 +209,72 @@ class StorageShard:
         with self._lock:
             return list(self._flush_reports)
 
-    def write(self, device: str, sensor: str, timestamp: int, value) -> None:
-        """Ingest one point; may trigger a synchronous flush.
-
-        The WAL append is flushed before the memtable accepts the point,
-        so a write is durable by the time this method returns.
-        """
-        with self.obs.span("engine.write", shard=self.shard_id) as span:
-            with self._lock:
-                space = self.separation.route(device, timestamp)
-                span.set(space=space.value)
-                if self._wals is not None:
-                    self._wals[space].append(device, sensor, timestamp, value)
-                memtable = self._working[space]
-                memtable.write(device, sensor, timestamp, value)
-                self._instruments.points_written.inc()
-                self._shard_instruments.points_written.inc()
-                if memtable.should_flush():
-                    self._flush_space(space)
-
     def write_batch(
         self, device: str, sensor: str, timestamps, values
     ) -> tuple[int, int]:
         """Ingest a whole batch under one shard-lock acquisition.
 
-        The true batch path: every point is routed with the watermark as of
-        the batch's start, each space's records land in the WAL through one
-        batched append (a single flush at the end keeps the whole batch
-        durable on acknowledge), and ``should_flush`` is checked once per
-        space after the batch — a memtable may overshoot its threshold by
-        at most one batch, which is the documented batch semantics.
-
-        Returns ``(points_written, flushes_triggered)`` so the engine's
+        The only write entry point (a point write is a batch of one; see
+        :meth:`_ingest` for the commit order).  Returns
+        ``(points_written, flushes_triggered)`` so the engine's
         ``engine.write_batch`` span can report what actually happened.
         """
-        flushes_triggered = 0
         with self._lock:
-            by_space: dict[Space, tuple[list, list]] = {
-                Space.SEQUENCE: ([], []),
-                Space.UNSEQUENCE: ([], []),
-            }
-            for t, v in zip(timestamps, values):
-                ts, vs = by_space[self.separation.route(device, t)]
-                ts.append(t)  # repro: allow(stats-accounting): space routing, not a sort
-                vs.append(v)
-            if self._wals is not None:
-                for space in (Space.SEQUENCE, Space.UNSEQUENCE):
-                    ts, vs = by_space[space]
-                    if ts:
-                        self._wals[space].append_batch(
-                            [(device, sensor, t, v) for t, v in zip(ts, vs)]
-                        )
-            for space in (Space.SEQUENCE, Space.UNSEQUENCE):
-                ts, vs = by_space[space]
-                if not ts:
-                    continue
-                self._working[space].write_batch(device, sensor, ts, vs)
-                self._instruments.points_written.inc(len(ts))
-                self._shard_instruments.points_written.inc(len(ts))
-            for space in (Space.SEQUENCE, Space.UNSEQUENCE):
-                if by_space[space][0] and self._working[space].should_flush():
+            flushes_triggered = self._ingest(device, sensor, timestamps, values)
+        return len(timestamps), flushes_triggered
+
+    @holds("_lock")
+    def _ingest(
+        self, device: str, sensor: str, timestamps, values, *, replay: bool = False
+    ) -> int:
+        """The one ingest routine: validate → log → apply, one batch at a time.
+
+        Every point is routed with the watermark as of the batch's start and
+        the batch is partitioned by space; then *everything* is validated
+        before anything is made durable or visible — a rejected batch leaves
+        no WAL frame, no memtable point, and no ``points_written`` count
+        behind, in either space.  Only then does each non-empty space's part
+        land in the WAL through one batched append (a single flush keeps the
+        whole part durable on acknowledge) and in its working memtable, and
+        ``should_flush`` is checked once per space after the batch — a
+        memtable may overshoot its threshold by at most one batch, which is
+        the documented batch semantics.
+
+        WAL replay is the same routine with ``replay=True``: the records
+        are already in the log, so nothing is logged, and recovery rebuilds
+        the working memtables without sealing them, so nothing is flushed.
+        Returns the number of flushes triggered.
+        """
+        check_timestamps(timestamps)
+        by_space: dict[Space, tuple[list, list]] = {
+            Space.SEQUENCE: ([], []),
+            Space.UNSEQUENCE: ([], []),
+        }
+        for t, v in zip(timestamps, values):
+            ts, vs = by_space[self.separation.route(device, t)]
+            ts.append(t)  # repro: allow(stats-accounting): space routing, not a sort
+            vs.append(v)
+        parts = [(space, ts, vs) for space, (ts, vs) in by_space.items() if ts]
+        for space, _ts, vs in parts:
+            self._working[space].check_values(device, sensor, vs)
+        if self._wals is not None and not replay:
+            for space, ts, vs in parts:
+                self._wals[space].append_batch(
+                    [(device, sensor, t, v) for t, v in zip(ts, vs)]
+                )
+        for space, ts, vs in parts:
+            self._working[space].write_batch(
+                device, sensor, ts, vs, validated=True
+            )
+            self._instruments.points_written.inc(len(ts))
+            self._shard_instruments.points_written.inc(len(ts))
+        flushes_triggered = 0
+        if not replay:
+            for space, _ts, _vs in parts:
+                if self._working[space].should_flush():
                     self._flush_space(space)
                     flushes_triggered += 1
-        return len(timestamps), flushes_triggered
+        return flushes_triggered
 
     # -- flushing --------------------------------------------------------------
 
@@ -771,8 +783,8 @@ class StorageShard:
 
         ``bytes_appended`` / ``flushes`` sum :meth:`SegmentedWal.stats` over
         the sequence and unsequence logs; zeros when the WAL is disabled.
-        Segment drops never decrease these — they feed the ``wal_bytes/``
-        and ``ingest/path`` bench cells.
+        Segment drops never decrease these — they feed the ``ingest/path``
+        bench cells.
         """
         totals = {"bytes_appended": 0, "flushes": 0}
         with self._lock:
@@ -865,16 +877,23 @@ class StorageShard:
                         recovered_ids = wal.sealed_segment_ids()
                         if recovered_ids:
                             self._recovery_segments[space] = recovered_ids
-                        for device, sensor, timestamp, value in wal.replay():
-                            # Route through the rebuilt watermarks: a record
-                            # whose point is already sealed in sequence space
-                            # re-lands in the unsequence memtable, where the
-                            # overwrite rule makes the duplicate harmless.
-                            target = self.separation.route(device, timestamp)
-                            self._working[target].write(
-                                device, sensor, timestamp, value
+                        # One ingest call per run of consecutive records of
+                        # a series, routed through the rebuilt watermarks: a
+                        # record whose point is already sealed in sequence
+                        # space re-lands in the unsequence memtable, where
+                        # the overwrite rule makes the duplicate harmless.
+                        for (device, sensor), records in groupby(
+                            wal.replay(), key=itemgetter(0, 1)
+                        ):
+                            records = list(records)
+                            self._ingest(
+                                device,
+                                sensor,
+                                [r[2] for r in records],
+                                [r[3] for r in records],
+                                replay=True,
                             )
-                            replayed += 1
+                            replayed += len(records)
                     span.set(points=replayed)
                 self._recovery_holds = {
                     space
@@ -888,8 +907,6 @@ class StorageShard:
                     # Nothing replayed survives only in the WAL; the
                     # recovered segments are already covered by sealed files.
                     self._drop_recovery_segments()
-                self._instruments.points_written.inc(replayed)
-                self._shard_instruments.points_written.inc(replayed)
                 self._instruments.wal_replayed.inc(replayed)
         return replayed
 

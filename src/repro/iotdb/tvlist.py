@@ -21,7 +21,9 @@ with plain Python lists, while the typed subclasses in
 column is one contiguous typed buffer per backing array.  Bulk operations —
 :meth:`TVList.put_all`, :meth:`TVList._write_back` — move whole slices
 between the flat arrays and the backing arrays instead of decomposing every
-index through ``divmod``.
+index through ``divmod``.  ``put_all`` is the only ingest routine:
+:meth:`TVList.put` is ``put_all`` of one point, so the sorted/min/max
+bookkeeping exists once.
 
 ``get_sorted_arrays`` is the *query* path: it never mutates the list (IoTDB
 clones the working TVList for queries).  ``sort_in_place`` is the *flush*
@@ -96,38 +98,33 @@ class TVList:
     # -- ingestion ---------------------------------------------------------
 
     def put(self, timestamp: int, value) -> None:
-        """Append one point; tracks whether arrival order stayed sorted."""
-        self._validate_value(value)
-        offset = self._size % self._array_size
-        if offset == 0:
-            self._time_arrays.append(self._new_time_array())
-            self._value_arrays.append(self._new_value_array())
-        self._time_arrays[-1][offset] = timestamp
-        self._value_arrays[-1][offset] = value
-        self._size += 1
-        if self._max_time_seen is not None and timestamp < self._max_time_seen:
-            self._sorted = False
-        if self._max_time_seen is None or timestamp > self._max_time_seen:
-            self._max_time_seen = timestamp
-        if self._min_time_seen is None or timestamp < self._min_time_seen:
-            self._min_time_seen = timestamp
+        """Append one point: a batch of one (see :meth:`put_all`)."""
+        self.put_all((timestamp,), (value,))
 
-    def put_all(self, timestamps, values) -> None:
-        """Append many points at once — the bulk ingest path.
+    def validate_all(self, values) -> None:
+        """Reject the whole batch if any value is of the wrong type."""
+        for value in values:
+            self._validate_value(value)
+
+    def put_all(self, timestamps, values, *, validated: bool = False) -> None:
+        """Append many points at once — the only ingest path.
 
         All-or-nothing on validation: every value is validated *before* any
         mutation, so a bad value mid-batch leaves the list untouched (the
-        memtable's atomic ``write_batch`` relies on this).  The batch is
+        memtable's atomic ``write_batch`` relies on this).  A caller that
+        already ran :meth:`validate_all` over exactly these values (the
+        shard validates a batch before logging it) passes
+        ``validated=True`` so no value is checked twice.  The batch is
         slice-filled into whole backing arrays, and the min/max/sorted
-        bookkeeping is updated once per batch rather than per point.
+        bookkeeping — which exists only here — is updated once per batch.
         """
         n = len(timestamps)
         if n != len(values):
             raise InvalidParameterError("timestamps and values lengths differ")
         if n == 0:
             return
-        for value in values:
-            self._validate_value(value)
+        if not validated:
+            self.validate_all(values)
         tbuf = self._as_time_buffer(timestamps)
         vbuf = self._as_value_buffer(values)
         asize = self._array_size

@@ -7,24 +7,27 @@ Each frame is::
 The header's low 31 bits are the payload length; the top bit distinguishes
 the two frame kinds:
 
-* a **single record** frame (bit clear — every segment written before batch
-  framing existed parses as this kind), payload a JSON array
-  ``[device, sensor, timestamp, value]``;
-* a **batch record** frame (bit set), payload one JSON array of N such
-  records — one length prefix, one CRC, and one flush for the whole batch,
-  which is what makes ``append_batch`` amortise the per-record framing and
-  flush cost.
+* a **batch record** frame (bit set), payload one JSON array of N
+  ``[device, sensor, timestamp, value]`` records — one length prefix, one
+  CRC, and one flush for the whole batch.  This is the only kind the writer
+  emits: the batch is the engine's unit of work, and a point write is a
+  batch of one record;
+* a **single record** frame (bit clear), payload one bare JSON array
+  ``[device, sensor, timestamp, value]`` — read-only legacy.  Every segment
+  written before batch framing existed (and every point write of the
+  engines before the write path became batch-only) is made of these, so
+  ``replay`` accepts them forever; nothing writes them any more.
 
-The engine appends before acknowledging a write, and both ``append`` and
-``append_batch`` flush the underlying file so an acknowledged write is
-durable even if the process dies immediately afterwards (the
-``repro.faults`` crash sweep is what turned the missing flush into a pinned
-regression test).  Replay accepts both frame kinds — old segments stay
-recoverable — and stops cleanly at the first torn frame (a crash
-mid-append), surfacing everything durable before it.  A torn batch frame
-drops the *whole* batch, which is correct: the batch is only acknowledged
-after its single flush returns, so a torn frame means nothing in it was
-acked.
+The engine appends a batch only after validating it and before
+acknowledging it, and ``append_batch`` flushes the underlying file so an
+acknowledged write is durable even if the process dies immediately
+afterwards (the ``repro.faults`` crash sweep is what turned the missing
+flush into a pinned regression test).  Replay accepts both frame kinds —
+old segments stay recoverable — and stops cleanly at the first torn frame
+(a crash mid-append), surfacing everything durable before it.  A torn batch
+frame drops the *whole* batch, which is correct: the batch is only
+acknowledged after its single flush returns, so a torn frame means nothing
+in it was acked.
 
 Two layers live here:
 
@@ -66,20 +69,6 @@ class WriteAheadLog:
         self._file = fileobj if fileobj is not None else io.BytesIO()
         self._file.seek(0, io.SEEK_END)
 
-    def append(self, device: str, sensor: str, timestamp: int, value) -> int:
-        """Durably record one write (flushed before returning).
-
-        Returns the number of bytes appended (frame overhead included).
-        """
-        payload = json.dumps([device, sensor, timestamp, value]).encode("utf-8")
-        self._file.write(_HEADER.pack(len(payload)))
-        self._file.write(payload)
-        self._file.write(_HEADER.pack(zlib.crc32(payload)))
-        # Durability on acknowledge: without this flush, records sat in the
-        # user-space buffer and a crash lost acknowledged writes.
-        self._file.flush()
-        return _HEADER.size * 2 + len(payload)
-
     def append_batch(self, records) -> int:
         """Durably record many writes as one batch frame, one flush.
 
@@ -108,6 +97,8 @@ class WriteAheadLog:
         self._file.write(_HEADER.pack(len(payload) | _BATCH_FLAG))
         self._file.write(payload)
         self._file.write(_HEADER.pack(zlib.crc32(payload)))
+        # Durability on acknowledge: without this flush, records sat in the
+        # user-space buffer and a crash lost acknowledged writes.
         self._file.flush()
         return _HEADER.size * 2 + len(payload)
 
@@ -175,11 +166,6 @@ class WriteAheadLog:
                 device, sensor, timestamp, value = decoded
                 yield device, sensor, timestamp, value
                 index += 1
-
-    def truncate(self) -> None:
-        """Drop all records (called after the covering memtable flushed)."""
-        self._file.seek(0)
-        self._file.truncate()
 
     def close(self) -> None:
         """Release the underlying file handle (no-op for BytesIO)."""
@@ -332,13 +318,6 @@ class SegmentedWal:
 
     # -- record API --------------------------------------------------------
 
-    def append(self, device: str, sensor: str, timestamp: int, value) -> None:
-        with self._lock:
-            self._bytes_appended += self._active.wal.append(
-                device, sensor, timestamp, value
-            )
-            self._flush_count += 1
-
     def append_batch(self, records) -> None:
         """Append a batch as one frame under one lock acquisition, one flush.
 
@@ -384,8 +363,7 @@ class SegmentedWal:
 
         ``bytes_appended`` counts every frame byte ever written to this
         space's segments; ``flushes`` counts flush syscalls issued by
-        ``append``/``append_batch``.  Both feed the ``wal_bytes/`` and
-        ``ingest/path`` bench cells.
+        ``append_batch``.  Both feed the ``ingest/path`` bench cells.
         """
         with self._lock:
             return {

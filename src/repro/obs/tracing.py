@@ -1,6 +1,6 @@
 """Tracer: nested spans over the injectable clock.
 
-A span is one timed region of the hot path (``engine.write`` →
+A span is one timed region of the hot path (``engine.write_batch`` →
 ``engine.flush`` → ``sort``); nesting follows the call stack, so the span
 tree answers "where does write→flush→query latency go?" without editing
 source.  All timing goes through :mod:`repro.obs.clock` — monotonic by

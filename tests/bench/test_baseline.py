@@ -29,7 +29,6 @@ def test_collect_is_deterministic():
     }
     ingest_cells = {f"ingest/shards={shards}" for shards in INGEST_SHARD_COUNTS}
     index_cells = {"query/index=on", "query/index=off"}
-    wal_cells = {"wal_bytes/frame=single", "wal_bytes/frame=batch"}
     path_cells = {"ingest/path=point", "ingest/path=batch"}
     flush_cells = {"flush/lcache=on", "flush/lcache=off"}
     backend_cells = {"ingest/backend=local"}
@@ -37,7 +36,6 @@ def test_collect_is_deterministic():
         sorter_cells
         | ingest_cells
         | index_cells
-        | wal_cells
         | path_cells
         | flush_cells
         | backend_cells
@@ -50,7 +48,7 @@ def test_collect_is_deterministic():
         assert 0 < cell["critical_path_ops"] <= cell["total_ops"]
     for name in index_cells:
         assert first["cells"][name]["files_opened"] > 0
-    for name in wal_cells | path_cells:
+    for name in path_cells:
         cell = first["cells"][name]
         assert cell["bytes_appended"] > 0 and cell["flushes"] > 0
     for name in flush_cells:

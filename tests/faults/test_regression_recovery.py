@@ -33,13 +33,18 @@ that fixes it:
    ``index.swap``, or plain disk damage) must be detected on open and
    rebuilt from the sealed TsFiles; believing it would let queries prune
    files that actually hold in-range points.
+8. **A rejected write reached the WAL** — the WAL append ran *before*
+   validation, so a write refused with ``InvalidParameterError`` (never
+   acknowledged) was durably logged and ``StorageEngine.open`` then died
+   replaying it.  Fixed by the one ingest routine's commit order:
+   validate → log → apply.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import InjectedCrashError, InjectedFaultError
+from repro.errors import InjectedCrashError, InjectedFaultError, InvalidParameterError
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.faults.crash import CrashSimulator
 from repro.iotdb import IoTDBConfig, Space, StorageEngine
@@ -372,4 +377,33 @@ class TestUnstableSortOverwrites:
         recovered.flush_all()
         result = recovered.query("d", "s", 0, 100)
         assert result.values == [float(t) + 1000.0 for t in range(100)]
+        recovered.close()
+
+
+class TestRejectedWritesLeaveNoDurableTrace:
+    """Bug 8: validation ran after the WAL append."""
+
+    @pytest.mark.parametrize(
+        "rejected",
+        [
+            lambda engine: engine.write("d", "s", 3, "oops"),
+            lambda engine: engine.write_batch("d", "s", [3, 4], [3.0, "oops"]),
+            lambda engine: engine.write_batch("d", "s", [3, "four"], [3.0, 4.0]),
+        ],
+        ids=["point", "batch-value", "batch-timestamp"],
+    )
+    def test_reopen_returns_exactly_the_acknowledged_points(self, tmp_path, rejected):
+        config = _config(tmp_path)
+        engine = StorageEngine.create(config)
+        engine.write_batch("d", "s", [1, 2], [1.0, 2.0])
+        logged = engine.wal_stats()
+        with pytest.raises(InvalidParameterError):
+            rejected(engine)
+        assert engine.wal_stats() == logged  # nothing reached the log
+        engine.write("d", "s", 5, 5.0)  # the engine keeps accepting writes
+        # No close, no flush: the process dies *now*.  Pre-fix, open()
+        # raised InvalidParameterError replaying the rejected record.
+        recovered = _recover(tmp_path, config)
+        result = recovered.query("d", "s", 0, 10)
+        assert (result.timestamps, result.values) == ([1, 2, 5], [1.0, 2.0, 5.0])
         recovered.close()

@@ -42,7 +42,7 @@ def _encode(records) -> tuple[bytes, list[int]]:
     wal = WriteAheadLog(buf)
     boundaries = [0]
     for record in records:
-        wal.append(*record)
+        wal.append_batch([record])  # one frame per record
         boundaries.append(buf.tell())
     return buf.getvalue(), boundaries
 

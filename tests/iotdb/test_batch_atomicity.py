@@ -12,6 +12,12 @@ essentially every time for a 50k-point batch.
 The remaining tests pin the other all-or-nothing edges deterministically:
 validation failures anywhere in the batch must leave the memtable (and the
 column's TVList) completely untouched.
+
+All-or-nothing holds per ``write_batch``, not merely per memtable: a batch
+that straddles sequence and unsequence space and is rejected in one of them
+must leave *both* spaces — memtables, WAL, counters — untouched
+(``TestEngineBatchAcrossSpaces``; pre-fix the sequence half was applied and
+logged before the unsequence half was refused).
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import threading
 import pytest
 
 from repro.errors import InvalidParameterError, MemTableFlushedError
+from repro.iotdb import StorageEngine
 from repro.iotdb.config import IoTDBConfig
 from repro.iotdb.memtable import MemTable, MemTableState
 
@@ -120,3 +127,22 @@ class TestValidationIsAllOrNothing:
         assert len(mem) == 3
         tvlist = mem.chunk("d", "s")
         assert sorted(tvlist.timestamps()) == [1, 2, 3]
+
+
+class TestEngineBatchAcrossSpaces:
+    def test_rejected_batch_straddling_spaces_applies_nothing(self):
+        engine = StorageEngine.create(
+            IoTDBConfig(memtable_flush_threshold=4, wal_enabled=True)
+        )
+        engine.write_batch("d", "s", [10, 11, 12, 13], [1.0] * 4)  # flushes: watermark 13
+        engine.write_batch("d", "s", [4], [0.5])  # pins the unsequence column DOUBLE
+        wal_before = engine.wal_stats()
+        written_before = engine.describe()["points_written"]
+        # 20, 21 route to sequence space, 5 to unsequence — where "oops"
+        # is refused.  Pre-fix, 20 and 21 were already logged and applied.
+        with pytest.raises(InvalidParameterError):
+            engine.write_batch("d", "s", [20, 21, 5], [2.0, 2.0, "oops"])
+        assert engine.query("d", "s", 0, 100).timestamps == [4, 10, 11, 12, 13]
+        assert engine.wal_stats() == wal_before  # no frame in either space
+        assert engine.describe()["points_written"] == written_before
+        engine.close()

@@ -1,17 +1,20 @@
-"""Differential testing: the batch write path must be invisible to readers.
+"""Differential testing: batch size must be invisible to readers.
 
-``engine.write_batch`` and an equivalent sequence of ``engine.write`` calls
-must produce *identical* storage: the same query and aggregation answers,
-and — when flush timing is pinned (a threshold the workload never reaches,
-explicit ``flush_all`` at the same round boundaries) — byte-identical
-sealed TsFiles, across both a single-shard and a four-shard engine.  The
-batch path is allowed to differ only in how it takes locks and frames its
-WAL records, never in what lands on disk.
+The batch is the engine's only unit of work (``engine.write`` is
+``write_batch`` of one), so the property is *batch-size invariance*: the
+same stream cut into batches at arbitrary boundaries — the generated
+batches whole, all batches of one point, or any cut in between — must
+produce *identical* storage: the same query and aggregation answers, and —
+when flush timing is pinned (a threshold the workload never reaches,
+explicit ``flush_all`` at the same stream positions) — byte-identical
+sealed TsFiles, across both a single-shard and a four-shard engine.  Batch
+size may change only how many locks are taken and WAL frames written,
+never what lands on disk.
 
-WAL replay equivalence is covered by crashing both engines before any
-flush: the point engine's log is all single-record frames, the batch
-engine's is batch frames (and a mix, in the mixed test), and recovery must
-reconstruct the same data from either framing.
+WAL replay equivalence is covered by crashing the engines before any
+flush: one log is all one-record frames, the others are larger frames, and
+recovery must reconstruct the same data from any framing.  (Replay of the
+legacy single-record frame *kind* is pinned in ``test_wal_batch.py``.)
 """
 
 from __future__ import annotations
@@ -38,6 +41,23 @@ _batches = st.lists(
     min_size=1,
     max_size=25,
 )
+
+
+# How a stream is re-cut: sub-batch sizes, cycled over each generated batch.
+# ``None`` keeps the generated batches whole; ``[1]`` is point-by-point.
+_cuts = st.lists(st.integers(1, 7), min_size=1, max_size=6)
+
+
+def _cut(ts, vs, sizes):
+    """``(ts, vs)`` split into consecutive sub-batches of the cycled sizes."""
+    if sizes is None:
+        yield ts, vs
+        return
+    start = index = 0
+    while start < len(ts):
+        end = start + sizes[index % len(sizes)]
+        yield ts[start:end], vs[start:end]
+        start, index = end, index + 1
 
 
 def _materialise(batches):
@@ -74,16 +94,15 @@ def _config(tmp_path, name, shards):
     )
 
 
-def _ingest(engine, concrete, batched, flush_every=8):
+def _ingest(engine, concrete, sizes, flush_every=None):
     for index, (device, sensor, ts, vs) in enumerate(concrete):
-        if batched:
-            engine.write_batch(device, sensor, ts, vs)
-        else:
-            for t, v in zip(ts, vs):
-                engine.write(device, sensor, t, v)
-        if (index + 1) % flush_every == 0:
+        for sub_ts, sub_vs in _cut(ts, vs, sizes):
+            if len(sub_ts) == 1:
+                engine.write(device, sensor, sub_ts[0], sub_vs[0])
+            else:
+                engine.write_batch(device, sensor, sub_ts, sub_vs)
+        if flush_every and (index + 1) % flush_every == 0:
             engine.flush_all()
-    engine.flush_all()
 
 
 def _assert_same_answers(reference, candidate, horizon):
@@ -108,55 +127,53 @@ def _sealed_files(data_dir):
 
 
 @settings(max_examples=20, deadline=None)
-@given(batches=_batches, shards=st.sampled_from([1, 4]))
-def test_batch_writes_equal_point_writes(tmp_path_factory, batches, shards):
+@given(batches=_batches, cut=_cuts, shards=st.sampled_from([1, 4]))
+def test_batch_writes_equal_point_writes(tmp_path_factory, batches, cut, shards):
     tmp_path = tmp_path_factory.mktemp("batch-diff")
     concrete, horizon = _materialise(batches)
-    engines = []
-    for name, batched in (("point", False), ("batch", True)):
+    engines = {}
+    for name, sizes in (("whole", None), ("point", [1]), ("cut", cut)):
         engine = StorageEngine.create(_config(tmp_path, f"{name}-{shards}", shards))
-        _ingest(engine, concrete, batched)
-        engines.append(engine)
-    point_engine, batch_engine = engines
-    _assert_same_answers(point_engine, batch_engine, horizon)
-    for engine in engines:
+        _ingest(engine, concrete, sizes, flush_every=8)
+        engine.flush_all()
+        engines[name] = engine
+    for name in ("point", "cut"):
+        _assert_same_answers(engines["whole"], engines[name], horizon)
+    for engine in engines.values():
         engine.close()
     # Identical flush barriers => the sealed TsFiles must match byte for
     # byte, not merely answer queries identically.
-    point_files = _sealed_files(tmp_path / f"point-{shards}")
-    batch_files = _sealed_files(tmp_path / f"batch-{shards}")
-    assert point_files == batch_files
+    whole_files = _sealed_files(tmp_path / f"whole-{shards}")
+    for name in ("point", "cut"):
+        assert _sealed_files(tmp_path / f"{name}-{shards}") == whole_files, name
 
 
 @settings(max_examples=15, deadline=None)
-@given(batches=_batches, shards=st.sampled_from([1, 4]))
-def test_batch_wal_replay_equals_point_wal_replay(tmp_path_factory, batches, shards):
-    # Crash both engines before any flush: everything lives in the WAL, as
-    # single-record frames on one side and batch frames on the other, and
-    # recovery must reconstruct identical answers from either framing.
+@given(batches=_batches, cut=_cuts, shards=st.sampled_from([1, 4]))
+def test_batch_wal_replay_equals_point_wal_replay(
+    tmp_path_factory, batches, cut, shards
+):
+    # Crash the engines before any flush: everything lives in the WAL, as
+    # one-record frames in one log and larger frames in the others, and
+    # recovery must reconstruct identical answers from any framing.
     tmp_path = tmp_path_factory.mktemp("batch-wal-diff")
     concrete, horizon = _materialise(batches)
-    reopened = []
-    for name, batched in (("point", False), ("batch", True)):
+    reopened = {}
+    for name, sizes in (("whole", None), ("point", [1]), ("cut", cut)):
         config = _config(tmp_path, f"{name}-{shards}", shards)
         engine = StorageEngine.create(config)
-        for device, sensor, ts, vs in concrete:
-            if batched:
-                engine.write_batch(device, sensor, ts, vs)
-            else:
-                for t, v in zip(ts, vs):
-                    engine.write(device, sensor, t, v)
+        _ingest(engine, concrete, sizes)
         del engine  # crash: no close(), recovery must replay the WAL
-        reopened.append(StorageEngine.open(config))
-    point_engine, batch_engine = reopened
-    _assert_same_answers(point_engine, batch_engine, horizon)
-    for engine in reopened:
+        reopened[name] = StorageEngine.open(config)
+    for name in ("point", "cut"):
+        _assert_same_answers(reopened["whole"], reopened[name], horizon)
+    for engine in reopened.values():
         engine.close()
 
 
 def test_mixed_frame_log_recovers_every_acknowledged_point(tmp_path):
     # One engine interleaves point and batch writes, so its WAL segments
-    # mix both frame kinds; recovery must surface all of them.
+    # mix one-record and many-record frames; recovery must surface all.
     config = _config(tmp_path, "mixed", shards=1)
     engine = StorageEngine.create(config)
     engine.write("root.sg.d0", "s0", 1, 1.0)

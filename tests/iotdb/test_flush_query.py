@@ -124,9 +124,9 @@ class TestQueryExecutor:
         seq = self._reader_with([5], [1.0])
         unseq = self._reader_with([5], [2.0])
         flushing = MemTable(IoTDBConfig())
-        flushing.write("d", "s", 5, 3.0)
+        flushing.write_batch("d", "s", [5], [3.0])
         working = MemTable(IoTDBConfig())
-        working.write("d", "s", 5, 4.0)
+        working.write_batch("d", "s", [5], [4.0])
         result = executor.execute(
             "d", "s", 0, 10,
             seq_files=[(None, seq)], unseq_files=[(None, unseq)],

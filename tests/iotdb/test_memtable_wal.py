@@ -29,9 +29,9 @@ from repro.iotdb import (
 class TestMemTable:
     def test_write_and_chunk_layout(self):
         mt = MemTable(IoTDBConfig(memtable_flush_threshold=100))
-        mt.write("d1", "s1", 10, 1.0)
-        mt.write("d1", "s2", 10, 5)
-        mt.write("d2", "s1", 11, 2.0)
+        mt.write_batch("d1", "s1", [10], [1.0])
+        mt.write_batch("d1", "s2", [10], [5])
+        mt.write_batch("d2", "s1", [11], [2.0])
         assert mt.total_points == 3
         assert mt.devices() == ["d1", "d2"]
         assert [key[:2] for key in [(d, s) for d, s, _ in mt.iter_chunks()]] == [
@@ -42,34 +42,34 @@ class TestMemTable:
 
     def test_schema_inference_and_stickiness(self):
         mt = MemTable()
-        mt.write("d", "s", 1, 1.5)
+        mt.write_batch("d", "s", [1], [1.5])
         assert mt.chunk_dtype("d", "s") is TSDataType.DOUBLE
         with pytest.raises(InvalidParameterError):
-            mt.write("d", "s", 2, "text")  # dtype pinned to DOUBLE
+            mt.write_batch("d", "s", [2], ["text"])  # dtype pinned to DOUBLE
 
     def test_timestamp_must_be_int(self):
         mt = MemTable()
         with pytest.raises(InvalidParameterError):
-            mt.write("d", "s", 1.5, 1.0)
+            mt.write_batch("d", "s", [1.5], [1.0])
         with pytest.raises(InvalidParameterError):
-            mt.write("d", "s", True, 1.0)
+            mt.write_batch("d", "s", [True], [1.0])
 
     def test_should_flush_threshold(self):
         mt = MemTable(IoTDBConfig(memtable_flush_threshold=3))
         for t in range(2):
-            mt.write("d", "s", t, 1.0)
+            mt.write_batch("d", "s", [t], [1.0])
         assert not mt.should_flush()
-        mt.write("d", "s", 2, 1.0)
+        mt.write_batch("d", "s", [2], [1.0])
         assert mt.should_flush()
 
     def test_state_machine(self):
         mt = MemTable()
-        mt.write("d", "s", 1, 1.0)
+        mt.write_batch("d", "s", [1], [1.0])
         assert mt.state is MemTableState.WORKING
         mt.mark_flushing()
         assert mt.state is MemTableState.FLUSHING
         with pytest.raises(MemTableFlushedError):
-            mt.write("d", "s", 2, 2.0)
+            mt.write_batch("d", "s", [2], [2.0])
         with pytest.raises(MemTableFlushedError):
             mt.mark_flushing()
         mt.mark_flushed()
@@ -129,21 +129,14 @@ class TestWriteAheadLog:
         wal = WriteAheadLog()
         records = [("d1", "s1", 5, 1.5), ("d1", "s2", 6, "x"), ("d2", "s1", 7, True)]
         for r in records:
-            wal.append(*r)
+            wal.append_batch([r])
         assert list(wal.replay()) == records
-
-    def test_truncate(self):
-        wal = WriteAheadLog()
-        wal.append("d", "s", 1, 1.0)
-        wal.truncate()
-        assert list(wal.replay()) == []
-        assert wal.size_bytes() == 0
 
     def test_torn_tail_tolerated(self):
         buf = io.BytesIO()
         wal = WriteAheadLog(buf)
-        wal.append("d", "s", 1, 1.0)
-        wal.append("d", "s", 2, 2.0)
+        wal.append_batch([("d", "s", 1, 1.0)])
+        wal.append_batch([("d", "s", 2, 2.0)])
         # Simulate a crash mid-append: chop the last few bytes.
         data = buf.getvalue()[:-3]
         recovered = WriteAheadLog(io.BytesIO(data))
@@ -152,7 +145,7 @@ class TestWriteAheadLog:
     def test_corruption_raises_in_strict_mode(self):
         buf = io.BytesIO()
         wal = WriteAheadLog(buf)
-        wal.append("d", "s", 1, 1.0)
+        wal.append_batch([("d", "s", 1, 1.0)])
         data = bytearray(buf.getvalue())
         data[6] ^= 0xFF  # corrupt the payload
         bad = WriteAheadLog(io.BytesIO(bytes(data)))
@@ -170,7 +163,7 @@ class TestWalStrictDiagnostics:
         buf = io.BytesIO()
         wal = WriteAheadLog(buf)
         for record in records:
-            wal.append(*record)
+            wal.append_batch([record])
         return buf.getvalue()
 
     def test_torn_header_names_record(self):
@@ -211,12 +204,12 @@ class TestWalStrictDiagnostics:
         assert list(torn.replay()) == [("d", "s", 1, 1.0)]
 
     def test_append_is_durable_without_close(self, tmp_path):
-        # Regression: append() must flush; a crash right after an
+        # Regression: append_batch() must flush; a crash right after an
         # acknowledged write used to lose it to the user-space buffer.
         path = tmp_path / "wal.log"
         handle = open(path, "wb+")
         wal = WriteAheadLog(handle)
-        wal.append("d", "s", 1, 1.0)
+        wal.append_batch([("d", "s", 1, 1.0)])
         # Read through a second descriptor: only OS-visible bytes count.
         replayed = list(WriteAheadLog(open(path, "rb")).replay())
         assert replayed == [("d", "s", 1, 1.0)]
@@ -226,17 +219,17 @@ class TestWalStrictDiagnostics:
 class TestSegmentedWal:
     def test_rotate_and_replay_order(self):
         wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
-        wal.append("d", "s", 1, 1.0)
+        wal.append_batch([("d", "s", 1, 1.0)])
         sealed_id = wal.rotate()
-        wal.append("d", "s", 2, 2.0)
+        wal.append_batch([("d", "s", 2, 2.0)])
         assert wal.sealed_segment_ids() == [sealed_id]
         assert list(wal.replay()) == [("d", "s", 1, 1.0), ("d", "s", 2, 2.0)]
 
     def test_drop_removes_only_that_segment(self):
         wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
-        wal.append("d", "s", 1, 1.0)
+        wal.append_batch([("d", "s", 1, 1.0)])
         first = wal.rotate()
-        wal.append("d", "s", 2, 2.0)
+        wal.append_batch([("d", "s", 2, 2.0)])
         wal.drop(first)
         assert list(wal.replay()) == [("d", "s", 2, 2.0)]
 
@@ -250,9 +243,9 @@ class TestSegmentedWal:
 
     def test_on_disk_fresh_deletes_recovery_keeps(self, tmp_path):
         wal = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=True)
-        wal.append("d", "s", 1, 1.0)
+        wal.append_batch([("d", "s", 1, 1.0)])
         wal.rotate()
-        wal.append("d", "s", 2, 2.0)
+        wal.append_batch([("d", "s", 2, 2.0)])
         wal.close()
 
         recovered = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=False)
@@ -268,8 +261,8 @@ class TestSegmentedWal:
     def test_spaces_are_isolated_on_disk(self, tmp_path):
         seq = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=True)
         unseq = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "unseq", fresh=True)
-        seq.append("d", "s", 1, 1.0)
-        unseq.append("d", "s", 2, 2.0)
+        seq.append_batch([("d", "s", 1, 1.0)])
+        unseq.append_batch([("d", "s", 2, 2.0)])
         assert list(seq.replay()) == [("d", "s", 1, 1.0)]
         assert list(unseq.replay()) == [("d", "s", 2, 2.0)]
         seq.close()

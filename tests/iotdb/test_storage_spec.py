@@ -35,7 +35,7 @@ def data_dir(tmp_path) -> Path:
     )
     for t in range(64):  # one full memtable: seals seq-000001.tsfile
         engine.write("d0", "s0", t, float(t))
-    for t in range(64, 80):  # single-record frames in the live segment
+    for t in range(64, 80):  # one-record batch frames in the live segment
         engine.write("d0", "s0", t, float(t))
     engine.write_batch("d0", "s0", list(range(80, 90)), [float(t) for t in range(80, 90)])
     del engine  # abrupt: the live WAL segment stays on disk
@@ -69,22 +69,22 @@ class TestWalSegmentSpec:
         frames, consumed = parse_wal_frames(blob)
         assert consumed == len(blob), "undocumented trailing bytes in segment"
         assert frames, "live segment should carry the unflushed tail"
-        # 16 single-record frames (t=64..79) then one batch frame (t=80..89).
-        singles = [f for f in frames if not f[0]]
-        batches = [f for f in frames if f[0]]
-        assert [record[2] for _, record in singles] == list(range(64, 80))
-        assert len(batches) == 1
-        batch_records = batches[0][1]
-        assert [record[2] for record in batch_records] == list(range(80, 90))
+        # The writer emits batch frames only: 16 one-record frames (the
+        # point writes t=64..79) then one ten-record frame (t=80..89).
+        assert all(is_batch for is_batch, _ in frames)
+        assert [[record[2] for record in records] for _, records in frames] == [
+            [t] for t in range(64, 80)
+        ] + [list(range(80, 90))]
+        batch_records = frames[-1][1]
         for record in batch_records:
             assert record[0] == "d0" and record[1] == "s0"
 
-    def test_single_record_payload_is_flat_json_array(self, data_dir):
+    def test_point_write_payload_is_a_one_record_batch(self, data_dir):
         blob = (data_dir / "shard-00" / "wal-seq-000002.log").read_bytes()
         frames, _ = parse_wal_frames(blob)
-        is_batch, record = frames[0]
-        assert not is_batch
-        assert record == ["d0", "s0", 64, 64.0]
+        is_batch, records = frames[0]
+        assert is_batch
+        assert records == [["d0", "s0", 64, 64.0]]
 
     def test_torn_tail_stops_replay_cleanly(self, data_dir):
         blob = (data_dir / "shard-00" / "wal-seq-000002.log").read_bytes()

@@ -1,11 +1,14 @@
 """WAL batch frames: roundtrip, mixed-kind replay, truncation, accounting.
 
 A batch frame is one length-prefixed JSON array of N records with one CRC
-and one flush; ``replay`` accepts both frame kinds, so logs written before
-batch framing existed (single-record frames only) and logs mixing both
-stay recoverable.  Truncation anywhere inside a batch frame drops the
-whole batch — the batch was acknowledged only after its single flush, so
-replay still surfaces exactly the acknowledged prefix.
+and one flush — the only kind the writer emits.  ``replay`` accepts both
+frame kinds, so logs of legacy single-record frames (hand-encoded here
+from docs/STORAGE.md by :mod:`tests.iotdb.legacy_wal`; no writer produces
+them any more) and logs mixing both stay recoverable, through
+``WriteAheadLog.replay`` and through ``StorageEngine.open``.  Truncation
+anywhere inside a batch frame drops the whole batch — the batch was
+acknowledged only after its single flush, so replay still surfaces exactly
+the acknowledged prefix.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import io
 import pytest
 
 from repro.errors import WalCorruptionError
+from repro.iotdb import IoTDBConfig, StorageEngine
 from repro.iotdb.backends import MemoryStore
 from repro.iotdb.wal import SegmentedWal, WriteAheadLog
+from tests.iotdb.legacy_wal import single_record_frame, single_record_segment
 
 RECORDS = [
     ("root.sg.d0", "s0", 5, 1.5),
@@ -43,10 +48,10 @@ class TestBatchFrameCodec:
         assert [tuple(r) for r in wal.replay()] == RECORDS
 
     def test_mixed_single_and_batch_frames_replay_in_order(self):
-        wal = WriteAheadLog()
-        wal.append(*RECORDS[0])
-        wal.append_batch(RECORDS[1:3])
-        wal.append(*RECORDS[3])
+        buf = io.BytesIO(single_record_frame(*RECORDS[0]))
+        WriteAheadLog(buf).append_batch(RECORDS[1:3])
+        buf.write(single_record_frame(*RECORDS[3]))
+        wal = WriteAheadLog(buf)
         wal.append_batch([RECORDS[0]])
         assert [tuple(r) for r in wal.replay()] == [
             RECORDS[0],
@@ -57,20 +62,26 @@ class TestBatchFrameCodec:
         ]
 
     def test_batch_frame_is_smaller_than_single_frames(self):
-        single = WriteAheadLog()
-        single_bytes = sum(single.append(*record) for record in RECORDS)
+        single_bytes = len(single_record_segment(RECORDS))
         batch = WriteAheadLog()
         batch_bytes = batch.append_batch(RECORDS)
         assert 0 < batch_bytes < single_bytes
         assert batch.size_bytes() == batch_bytes
-        assert single.size_bytes() == single_bytes
+
+    def test_one_record_batch_frame_costs_two_bytes_over_the_legacy_frame(self):
+        # A point write is a one-record batch frame: the same JSON record
+        # wrapped in one more pair of brackets.
+        for record in RECORDS:
+            assert WriteAheadLog().append_batch([record]) == (
+                len(single_record_frame(*record)) + 2
+            )
 
     def test_one_flush_per_batch(self):
         fileobj = _FlushCountingFile()
         wal = WriteAheadLog(fileobj)
         wal.append_batch(RECORDS)
         assert fileobj.flushes == 1
-        wal.append(*RECORDS[0])
+        wal.append_batch([RECORDS[0]])
         assert fileobj.flushes == 2
 
     def test_empty_batch_writes_nothing_and_never_flushes(self):
@@ -82,29 +93,26 @@ class TestBatchFrameCodec:
         assert list(wal.replay()) == []
 
     def test_single_frame_logs_stay_recoverable(self):
-        # The pre-batch on-disk format is exactly today's single-record
-        # frame; a log of only those must replay unchanged.
-        wal = WriteAheadLog()
-        for record in RECORDS:
-            wal.append(*record)
+        # The pre-batch on-disk format is the single-record frame; a log of
+        # only those must replay unchanged.
+        wal = WriteAheadLog(io.BytesIO(single_record_segment(RECORDS)))
         assert [tuple(r) for r in wal.replay()] == RECORDS
+        assert [tuple(r) for r in wal.replay(strict=True)] == RECORDS
 
 
 def _encode_mixed() -> tuple[WriteAheadLog, list[tuple[int, int]]]:
-    """A log of single, batch, single frames.
+    """A log of (legacy) single, batch, (legacy) single frames.
 
     Returns the WAL plus ``(byte_offset, records_replayable)`` after each
     frame — the clean truncation points.
     """
-    wal = WriteAheadLog()
-    boundaries = [(0, 0)]
-    offset = wal.append(*RECORDS[0])
-    boundaries.append((offset, 1))
-    offset += wal.append_batch(RECORDS[1:3])
-    boundaries.append((offset, 3))
-    offset += wal.append(*RECORDS[3])
-    boundaries.append((offset, 4))
-    return wal, boundaries
+    buf = io.BytesIO(single_record_frame(*RECORDS[0]))
+    boundaries = [(0, 0), (buf.getbuffer().nbytes, 1)]
+    WriteAheadLog(buf).append_batch(RECORDS[1:3])
+    boundaries.append((buf.getbuffer().nbytes, 3))
+    buf.write(single_record_frame(*RECORDS[3]))
+    boundaries.append((buf.getbuffer().nbytes, 4))
+    return WriteAheadLog(buf), boundaries
 
 
 class TestBatchFrameTruncation:
@@ -164,7 +172,7 @@ class TestSegmentedWalBatch:
 
     def test_stats_accumulate_and_survive_segment_drops(self):
         wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
-        wal.append(*RECORDS[0])
+        wal.append_batch([RECORDS[0]])
         wal.append_batch(RECORDS[1:])
         stats = wal.stats()
         assert stats["flushes"] == 2
@@ -185,3 +193,51 @@ class TestSegmentedWalBatch:
         wal.rotate()
         wal.append_batch(RECORDS[2:])
         assert [tuple(r) for r in wal.replay()] == RECORDS
+
+
+SERIES = [("root.sg.d0", "s0", t, float(t)) for t in (3, 1, 4, 1, 5, 9, 2, 6)]
+
+
+def _plant_segment(tmp_path, blob: bytes) -> IoTDBConfig:
+    """A crashed engine's tree whose only WAL content is ``blob``."""
+    config = IoTDBConfig(data_dir=tmp_path / "data", wal_enabled=True)
+    engine = StorageEngine.create(config)
+    del engine  # abrupt: nothing flushed, the stamp and shard dirs remain
+    (tmp_path / "data" / "shard-00" / "wal-seq-000001.log").write_bytes(blob)
+    return config
+
+
+def _recovered(config) -> list[tuple[int, float]]:
+    engine = StorageEngine.open(config)
+    result = engine.query("root.sg.d0", "s0", 0, 100)
+    engine.close()
+    return list(zip(result.timestamps, result.values))
+
+
+def _last_write_wins(records) -> list[tuple[int, float]]:
+    return sorted({t: v for _d, _s, t, v in records}.items())
+
+
+class TestLegacyFramesRecoverThroughOpen:
+    """Trees written by any earlier engine (single-record frames for point
+    writes) still open with every record."""
+
+    def test_single_only_segment_recovers_every_record(self, tmp_path):
+        config = _plant_segment(tmp_path, single_record_segment(SERIES))
+        assert _recovered(config) == _last_write_wins(SERIES)
+
+    def test_mixed_kind_segment_recovers_every_record(self, tmp_path):
+        buf = io.BytesIO(single_record_segment(SERIES[:3]))
+        WriteAheadLog(buf).append_batch(SERIES[3:6])
+        buf.write(single_record_segment(SERIES[6:]))
+        config = _plant_segment(tmp_path, buf.getvalue())
+        assert _recovered(config) == _last_write_wins(SERIES)
+
+    def test_truncation_at_every_byte_recovers_the_acked_prefix(self, tmp_path):
+        frames = [single_record_frame(*record) for record in SERIES[:4]]
+        blob = b"".join(frames)
+        ends = [sum(len(f) for f in frames[: i + 1]) for i in range(len(frames))]
+        for cut in range(len(blob) + 1):
+            config = _plant_segment(tmp_path / str(cut), blob[:cut])
+            complete = sum(1 for end in ends if end <= cut)
+            assert _recovered(config) == _last_write_wins(SERIES[:complete]), cut

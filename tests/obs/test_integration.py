@@ -56,11 +56,13 @@ class TestSpanTree:
     def test_write_flush_query_nesting(self, traced_engine):
         _, obs = traced_engine
         tracer = obs.tracer
-        # A threshold flush nests under the write that triggered it.
+        # A threshold flush nests under the write that triggered it (a
+        # point write is an engine.write_batch span with points=1).
         write_span = next(
             s for s in tracer.iter_spans()
-            if s.name == "engine.write" and s.find("engine.flush")
+            if s.name == "engine.write_batch" and s.find("engine.flush")
         )
+        assert write_span.attributes["points"] == 1
         flush_span = write_span.find("engine.flush")
         chunk_span = flush_span.find("flush.chunk")
         assert chunk_span is not None
