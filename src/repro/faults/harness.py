@@ -16,6 +16,9 @@ The contract being verified (the one a WAL exists to provide):
   interval index holds exactly one entry per non-empty sealed file, with
   the file's true time range (a torn or stale ``interval-index.json`` must
   have been rebuilt, never believed).
+* **Coherent aggregates** — after recovery ``engine.aggregate`` over each
+  column equals the fold of ``engine.query`` over the same range, so every
+  crash state also exercises the statistics-vs-raw-scan decision.
 
 The sweep enumerates every fault site the workload actually reaches (an
 empty :class:`FaultPlan` counts site visits), then replays the workload
@@ -229,6 +232,10 @@ def check_points(recovered: dict, acked: dict, allowed_extra=None) -> list[str]:
 
 def check_recovery(engine, acked: OracleModel, inflight_op=None) -> list[str]:
     """Check a recovered engine against the acknowledged-write oracle."""
+    from repro.iotdb.aggregation import aggregate_from_points, is_close
+    from repro.iotdb.interval_index import build_entries
+    from repro.iotdb.separation import Space
+
     violations: list[str] = []
     inflight_key = None
     inflight_point = None
@@ -259,12 +266,21 @@ def check_recovery(engine, acked: OracleModel, inflight_op=None) -> list[str]:
             f"{device}.{sensor}: {v}"
             for v in check_points(recovered, acked_col, allowed)
         )
+        # Whatever source set the crash left (overlapping sequence files
+        # included), the shard's statistics-or-raw-scan choice must fold to
+        # what the query just returned.
+        got = engine.aggregate(device, sensor, 0, horizon)
+        want = aggregate_from_points(result)
+        exact = ("count", "min_value", "max_value", "first", "last")
+        if not is_close(got.sum, want.sum) or any(
+            getattr(got, name) != getattr(want, name) for name in exact
+        ):
+            violations.append(
+                f"{device}.{sensor}: aggregate {got!r} but the query folds to {want!r}"
+            )
 
     # Watermark coherence: every shard's recovered sequence memtable must
     # hold no point at or below its device's watermark.
-    from repro.iotdb.interval_index import build_entries
-    from repro.iotdb.separation import Space
-
     for shard in engine.shards:
         with shard._lock:
             seq_memtable = shard._working[Space.SEQUENCE]

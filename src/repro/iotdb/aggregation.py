@@ -2,25 +2,30 @@
 
 The paper's evaluation uses the plain time-range query because it "is one of
 the simplest query and the basis of the aggregation functions" (§VI-A2).
-This module builds those aggregation functions on top of the same machinery,
-with the optimisation that makes the TsFile page statistics worth storing:
-a page *fully covered* by the query range contributes through its
-pre-computed statistics without being decoded, while partially covered
-pages and live memtable points fall back to raw scanning.
+This module builds those aggregation functions as **one fold**: a partial
+aggregate comes either from points (:func:`aggregate_from_points`) or from
+a sealed page's pre-computed statistics (:func:`aggregate_from_statistics`),
+and :func:`combine` merges two partials.  ``combine`` is associative and
+does not depend on the order its operands arrive in — each partial carries
+the times of its ``first``/``last`` values — so a file's position in a
+shard's sealed list can never leak into an answer.
 
-Correctness requires the overwrite semantics of the engine: a timestamp
-rewritten in a fresher source must not be double-counted.  The executor
-therefore only takes the statistics fast path when no fresher source can
-overlap the page's time span; otherwise it degrades to the merged raw scan.
+A sealed page *fully covered* by the query range contributes through its
+statistics without being decoded (:func:`aggregate_sealed_chunk`); boundary
+pages are decoded and cut to the range.  That is only correct when no other
+source can rewrite a timestamp of the chunk;
+:meth:`repro.iotdb.shard.StorageShard.aggregate` owns that decision and
+otherwise folds the merged raw scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import QueryError
 from repro.iotdb.query import QueryResult
+from repro.iotdb.tsfile import cut_range
 
 #: The supported aggregation function names.
 AGGREGATIONS = ("count", "sum", "avg", "min_value", "max_value", "first", "last")
@@ -43,6 +48,10 @@ class AggregationResult:
     last: object
     pages_skipped: int = 0  # pages answered from statistics alone
     pages_decoded: int = 0
+    #: Timestamps of ``first`` / ``last`` (``None`` when empty) — what lets
+    #: :func:`combine` merge partials without knowing their order.
+    first_time: int | None = None
+    last_time: int | None = None
 
     def get(self, name: str):
         if name not in AGGREGATIONS:
@@ -52,101 +61,106 @@ class AggregationResult:
         return getattr(self, name)
 
 
-def aggregate_from_points(result: QueryResult) -> AggregationResult:
-    """Aggregate a merged raw query result (the always-correct slow path)."""
-    ts, vs = result.timestamps, result.values
+def empty_aggregate() -> AggregationResult:
+    """The fold's identity: the aggregate of no points."""
+    return AggregationResult(
+        count=0, sum=None, avg=None, min_value=None, max_value=None,
+        first=None, last=None,
+    )
+
+
+def _points_partial(ts: list[int], vs: list) -> AggregationResult:
     if not ts:
-        return AggregationResult(
-            count=0, sum=None, avg=None, min_value=None, max_value=None,
-            first=None, last=None,
-        )
+        return empty_aggregate()
     numeric = isinstance(vs[0], (int, float)) and not isinstance(vs[0], bool)
     total = float(sum(vs)) if numeric else None
     return AggregationResult(
         count=len(ts),
         sum=total,
-        avg=total / len(ts) if total is not None else None,
+        avg=total / len(ts) if numeric else None,
         min_value=min(vs) if numeric else None,
         max_value=max(vs) if numeric else None,
         first=vs[0],
         last=vs[-1],
+        first_time=ts[0],
+        last_time=ts[-1],
     )
 
 
-def aggregate_sealed_chunk(
-    reader,
-    device: str,
-    sensor: str,
-    start: int,
-    end: int,
-) -> AggregationResult:
-    """Aggregate one sealed file's chunk, skipping fully covered pages.
+def aggregate_from_points(result: QueryResult) -> AggregationResult:
+    """Aggregate a merged raw query result (the always-correct slow path)."""
+    return _points_partial(result.timestamps, result.values)
 
-    Only safe when this chunk is the sole source for the range (no
-    overwrites possible); :meth:`StorageEngine.aggregate` checks that
+
+def aggregate_from_statistics(stats) -> AggregationResult:
+    """A numeric page's :class:`~repro.iotdb.tsfile.PageStatistics` *are* its
+    aggregate: the partial of a page answered without decoding it."""
+    return AggregationResult(
+        count=stats.count,
+        sum=stats.sum_value,
+        avg=stats.sum_value / stats.count,
+        min_value=stats.min_value,
+        max_value=stats.max_value,
+        first=stats.first_value,
+        last=stats.last_value,
+        pages_skipped=1,
+        first_time=stats.min_time,
+        last_time=stats.max_time,
+    )
+
+
+def combine(a: AggregationResult, b: AggregationResult) -> AggregationResult:
+    """Merge the partial aggregates of two disjoint point sets, in any order."""
+    if a.count == 0 or b.count == 0:
+        keep, drop = (a, b) if b.count == 0 else (b, a)
+        if drop.pages_skipped or drop.pages_decoded:  # a page cut to nothing
+            return replace(
+                keep,
+                pages_skipped=a.pages_skipped + b.pages_skipped,
+                pages_decoded=a.pages_decoded + b.pages_decoded,
+            )
+        return keep
+    numeric = a.sum is not None and b.sum is not None
+    total = a.sum + b.sum if numeric else None
+    count = a.count + b.count
+    earliest = a if a.first_time <= b.first_time else b
+    latest = a if a.last_time >= b.last_time else b
+    return AggregationResult(
+        count=count,
+        sum=total,
+        avg=total / count if numeric else None,
+        min_value=min(a.min_value, b.min_value) if numeric else None,
+        max_value=max(a.max_value, b.max_value) if numeric else None,
+        first=earliest.first,
+        last=latest.last,
+        pages_skipped=a.pages_skipped + b.pages_skipped,
+        pages_decoded=a.pages_decoded + b.pages_decoded,
+        first_time=earliest.first_time,
+        last_time=latest.last_time,
+    )
+
+
+def aggregate_sealed_chunk(reader, chunk, start: int, end: int) -> AggregationResult:
+    """Aggregate one sealed chunk over ``[start, end)``: fully covered numeric
+    pages through their statistics, boundary pages decoded and cut.
+
+    Only safe when no other source can rewrite a timestamp of this chunk
+    inside the range; :meth:`StorageShard.aggregate` checks that
     precondition before calling.
     """
-    chunk = reader.chunk_metadata(device, sensor)
-    empty = AggregationResult(
-        count=0, sum=None, avg=None, min_value=None, max_value=None,
-        first=None, last=None,
-    )
-    if chunk is None:
-        return empty
-    count = 0
-    total: float | None = 0.0
-    min_v = None
-    max_v = None
-    first = None
-    last = None
-    skipped = 0
-    decoded = 0
+    total = empty_aggregate()
     for page in chunk.pages:
         stats = page.stats
         if stats.max_time < start or stats.min_time >= end:
             continue
         covered = start <= stats.min_time and stats.max_time < end
         if covered and stats.sum_value is not None:
-            # Fast path: the page's statistics are the page's aggregate.
-            count += stats.count
-            if total is not None:
-                total += stats.sum_value
-            min_v = stats.min_value if min_v is None else min(min_v, stats.min_value)
-            max_v = stats.max_value if max_v is None else max(max_v, stats.max_value)
-            if first is None:
-                first = stats.first_value
-            last = stats.last_value
-            skipped += 1
-            continue
-        ts, vs = reader._read_page(chunk, page)
-        decoded += 1
-        for t, v in zip(ts, vs):
-            if not start <= t < end:
-                continue
-            count += 1
-            numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
-            if numeric and total is not None:
-                total += float(v)
-                min_v = v if min_v is None else min(min_v, v)
-                max_v = v if max_v is None else max(max_v, v)
-            elif not numeric:
-                total = None
-            if first is None:
-                first = v
-            last = v
-    if count == 0:
-        return empty
-    return AggregationResult(
-        count=count,
-        sum=total,
-        avg=total / count if total is not None else None,
-        min_value=min_v,
-        max_value=max_v,
-        first=first,
-        last=last,
-        pages_skipped=skipped,
-        pages_decoded=decoded,
-    )
+            partial = aggregate_from_statistics(stats)
+        else:
+            partial = _points_partial(*reader.read_page(chunk, page, start, end))
+            partial.pages_decoded = 1
+        total = combine(total, partial)
+    return total
 
 
 @dataclass
@@ -165,34 +179,19 @@ def aggregate_windows(
 
     This is the paper's §VI-E motivating computation — "the average speed of
     an engine in every minute" — which is only correct over time-ordered
-    data: the bucketing below walks the merged result once and relies on its
-    sort order.  Buckets with no points report ``count == 0``.
+    data: each bucket is one range cut of the merged, sorted result.  Buckets
+    with no points report ``count == 0``.
     """
     if window < 1:
         raise QueryError(f"window must be >= 1, got {window}")
     if start >= end:
         raise QueryError(f"empty time range [{start}, {end})")
-    buckets: list[WindowAggregate] = []
     ts, vs = result.timestamps, result.values
-    idx = 0
-    n = len(ts)
+    buckets: list[WindowAggregate] = []
     for lo in range(start, end, window):
         hi = min(lo + window, end)
-        bucket_t: list[int] = []
-        bucket_v: list = []
-        while idx < n and ts[idx] < hi:
-            if ts[idx] >= lo:  # repro: allow(stats-accounting): window bucketing, not a sort
-                bucket_t.append(ts[idx])  # repro: allow(stats-accounting): window bucketing, not a sort
-                bucket_v.append(vs[idx])
-            idx += 1
         buckets.append(
-            WindowAggregate(
-                start=lo,
-                end=hi,
-                result=aggregate_from_points(
-                    QueryResult(timestamps=bucket_t, values=bucket_v, stats=result.stats)
-                ),
-            )
+            WindowAggregate(lo, hi, _points_partial(*cut_range(ts, vs, lo, hi)))
         )
     return buckets
 

@@ -4,10 +4,11 @@ The separation policy (paper §II, building on the authors' ICDE 2022
 "Separation or not" study) deliberately lets very late points accumulate in
 unsequence files whose time ranges overlap the sealed sequence files.  The
 deferred cost is query-time merging across seq and unseq files; compaction
-pays that cost once: for every column it k-way merges the selected sealed
-files with the engine's overwrite semantics (unsequence beats sequence,
-later files beat earlier ones) and rewrites the result as a single sealed
-sequence file appended to the shard's file list.
+pays that cost once: for every column it merges the selected sealed files'
+chunks with the very function queries use
+(:func:`repro.iotdb.query.merge_last_write_wins`: unsequence beats
+sequence, later files beat earlier ones) and rewrites the result as a
+single sealed sequence file appended to the shard's file list.
 
 Which files a pass merges is a pluggable :class:`CompactionPolicy`:
 
@@ -45,7 +46,8 @@ equivalence before/after compaction under both policies.
 
 After compaction the engine serves the same query results (asserted by the
 equivalence tests), with every fully compacted region once again eligible
-for the aggregation statistics fast path.  Per-pass decisions are exported
+for the page-statistics aggregate — whose fold does not depend on where the
+appended file sits in the sealed list.  Per-pass decisions are exported
 through ``repro.obs``: ``engine_compactions_total`` /
 ``engine_compaction_files_selected_total`` /
 ``engine_compaction_files_skipped_total``, all labelled by policy.
@@ -56,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.iotdb.interval_index import IndexEntry
+from repro.iotdb.query import merge_last_write_wins
 from repro.iotdb.separation import Space
 
 
@@ -247,29 +250,26 @@ def _compact_locked(shard, policy, obs, Timer) -> CompactionReport:
 
     unseq_merged = sum(1 for f in chosen if f.space is Space.UNSEQUENCE)
     with Timer(obs.clock) as timer:
-        # Freshness order matches the query executor: seq files then unseq
-        # files, each in write order; later sources overwrite earlier ones.
+        # Freshness order matches the query path: seq files then unseq
+        # files, each in write order; the shared merge lets later win.
         ordered = [f for f in chosen if f.space is Space.SEQUENCE] + [
             f for f in chosen if f.space is Space.UNSEQUENCE
         ]
-        columns: dict[tuple[str, str], dict[int, object]] = {}
+        columns: dict[tuple[str, str], list[tuple[list[int], list]]] = {}
         dtypes: dict[tuple[str, str], object] = {}
         for f in ordered:
             reader = f.reader
             for device in reader.devices():
                 for sensor in reader.sensors(device):
-                    ts, vs = reader.read_chunk(device, sensor)
-                    merged = columns.setdefault((device, sensor), {})
-                    for t, v in zip(ts, vs):
-                        merged[t] = v
+                    columns.setdefault((device, sensor), []).append(
+                        reader.read_chunk(device, sensor)
+                    )
                     dtypes[(device, sensor)] = reader.chunk_metadata(device, sensor).dtype
 
         writer, new_sealed = shard._new_sink(Space.SEQUENCE)
         points = 0
         for (device, sensor) in sorted(columns):
-            merged = columns[(device, sensor)]
-            ts = sorted(merged)
-            vs = [merged[t] for t in ts]
+            ts, vs = merge_last_write_wins(columns[(device, sensor)])
             if not ts:
                 continue
             writer.write_chunk(

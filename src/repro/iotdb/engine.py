@@ -73,6 +73,7 @@ from repro.analysis.concurrency import create_lock
 from repro.core.sorter import Sorter
 from repro.errors import MetaCorruptionError, StorageError
 from repro.faults.injector import NOOP_INJECTOR
+from repro.iotdb.aggregation import aggregate_windows
 from repro.iotdb.backends import BlobStore, LocalDirStore, MemoryStore
 from repro.iotdb.config import IoTDBConfig
 from repro.iotdb.engine_metrics import EngineInstruments
@@ -486,7 +487,8 @@ class StorageEngine:
 
     def aggregate(self, device: str, sensor: str, start: int, end: int):
         """Aggregations over ``[start, end)``: count/sum/avg/min/max/first/last
-        (the owning shard's statistics fast path applies unchanged)."""
+        (the owning shard picks page statistics or the raw scan; see
+        :meth:`StorageShard.aggregate`)."""
         return self.shard_for(device).aggregate(device, sensor, start, end)
 
     def aggregate_windows(
@@ -498,8 +500,6 @@ class StorageEngine:
         minute") — executed over the merged, time-ordered query result, so
         every bucket sees exactly the freshest value per timestamp.
         """
-        from repro.iotdb.aggregation import aggregate_windows
-
         return aggregate_windows(
             self.query(device, sensor, start, end), start, end, window
         )

@@ -7,10 +7,13 @@ IoTDB takes the lock and blocks the write process", §VI-D1).  The paper's
 query-throughput experiment measures precisely this cost, so
 :class:`QueryResult` carries the sort seconds separately.
 
-Merge semantics across sources follow IoTDB's overwrite rule: for duplicate
-timestamps the *freshest* source wins, with freshness ordered
-``seq files < unseq files < flushing memtables < working memtable``
-(and within file lists, write order).
+One read path: the shard hands :meth:`TimeRangeQueryExecutor.execute` a
+range's sources stalest first (``seq files < unseq files < flushing
+memtables < working memtables``, write order within each); every source
+yields one sorted column cut to the range by
+:func:`~repro.iotdb.tsfile.cut_range`, and :func:`merge_last_write_wins`
+— shared with compaction — applies IoTDB's overwrite rule: for duplicate
+timestamps the *freshest* source wins.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from repro.core.instrumentation import SortStats
 from repro.core.sorter import Sorter
 from repro.errors import QueryError
 from repro.iotdb.memtable import MemTable
-from repro.iotdb.tsfile import TsFileReader
-from repro.iotdb.tvlist import dedupe_sorted
+from repro.iotdb.tsfile import TsFileReader, cut_range
 from repro.obs import NOOP, Observability
 
 
@@ -54,6 +56,21 @@ class QueryResult:
         return len(self.timestamps)
 
 
+def merge_last_write_wins(columns) -> tuple[list[int], list]:
+    """Merge sorted ``(ts, vs)`` columns given stalest first: one sorted,
+    duplicate-free column in which the freshest write of a timestamp wins
+    (inside a column, its last occurrence — arrival order for a TVList).
+
+    The one last-write-wins merge — the query executor calls it over a
+    range's sources, compaction over a column's selected chunks.
+    """
+    merged: dict[int, object] = {}
+    for ts, vs in columns:
+        merged.update(zip(ts, vs))
+    out_t = sorted(merged)
+    return out_t, [merged[t] for t in out_t]
+
+
 class TimeRangeQueryExecutor:
     """Executes range scans against an engine's current source set."""
 
@@ -74,7 +91,7 @@ class TimeRangeQueryExecutor:
         working_memtable: MemTable | None = None,
         index=None,
     ) -> QueryResult:
-        """Gather, sort, merge and deduplicate points from every source.
+        """Gather each source's sorted in-range column, then merge them.
 
         Sealed files arrive as ``(file_id, reader)`` pairs.  With an
         :class:`~repro.iotdb.interval_index.IntervalIndex` injected via
@@ -83,56 +100,51 @@ class TimeRangeQueryExecutor:
         index proves disjoint are counted in ``stats.files_pruned`` and
         never read.  A file the index does not know (or one passed with
         ``file_id=None``) is always opened (defensive: pruning may skip
-        work, never data).
+        work, never data).  ``stats.points_scanned`` counts what was
+        decoded or sorted to answer, ``points_returned`` what survived the
+        range cut and the merge.
         """
-        from repro.bench.timing import Timer
-
         if start >= end:
             raise QueryError(f"empty time range [{start}, {end})")
         obs = self._obs
         stats = QueryStats()
-        merged: dict[int, object] = {}
         candidate_ids = index.candidates(start, end) if index is not None else None
-
-        with Timer(obs.clock) as total_timer:
-            # Freshness order: later sources overwrite earlier ones.
-            for file_id, reader in (*seq_files, *unseq_files):
-                if (
-                    candidate_ids is not None
-                    and file_id is not None
-                    and file_id not in candidate_ids
-                    and index.covers(file_id)
-                ):
-                    stats.files_pruned += 1
-                    continue
-                stats.files_opened += 1
-                ts, vs = reader.query_range(device, sensor, start, end)
-                if ts:
-                    stats.sources_visited += 1
-                    stats.points_scanned += len(ts)
-                    for t, v in zip(ts, vs):
-                        merged[t] = v
-
-            for memtable in (*flushing_memtables, working_memtable):
-                if memtable is None:
-                    continue
-                tvlist = memtable.chunk(device, sensor)
-                if tvlist is None or len(tvlist) == 0:
-                    continue
+        started = obs.clock.now()
+        # Freshness order: later columns overwrite earlier ones.
+        columns: list[tuple[list[int], list]] = []
+        for file_id, reader in (*seq_files, *unseq_files):
+            if (
+                candidate_ids is not None
+                and file_id is not None
+                and file_id not in candidate_ids
+                and index.covers(file_id)
+            ):
+                stats.files_pruned += 1
+                continue
+            stats.files_opened += 1
+            decoded_before = reader.points_decoded
+            ts, vs = reader.query_range(device, sensor, start, end)
+            stats.points_scanned += reader.points_decoded - decoded_before
+            if ts:
                 stats.sources_visited += 1
-                ts, vs, timed = tvlist.get_sorted_arrays(
-                    self._sorter, obs=obs, site="query", series=f"{device}.{sensor}"
-                )
-                stats.sort_seconds += timed.seconds
-                stats.sort_stats.merge(timed.stats)
-                stats.points_scanned += len(ts)
-                ts, vs = dedupe_sorted(ts, vs)
-                for t, v in zip(ts, vs):
-                    if start <= t < end:
-                        merged[t] = v
+                columns.append((ts, vs))
 
-            out_t = sorted(merged)
-            out_v = [merged[t] for t in out_t]
+        for memtable in (*flushing_memtables, working_memtable):
+            if memtable is None:
+                continue
+            tvlist = memtable.chunk(device, sensor)
+            if tvlist is None or len(tvlist) == 0:
+                continue
+            stats.sources_visited += 1
+            ts, vs, timed = tvlist.get_sorted_arrays(
+                self._sorter, obs=obs, site="query", series=f"{device}.{sensor}"
+            )
+            stats.sort_seconds += timed.seconds
+            stats.sort_stats.merge(timed.stats)
+            stats.points_scanned += len(ts)
+            columns.append(cut_range(ts, vs, start, end))
+
+        out_t, out_v = merge_last_write_wins(columns)
         stats.points_returned = len(out_t)
-        stats.total_seconds = total_timer.seconds
+        stats.total_seconds = obs.clock.now() - started
         return QueryResult(timestamps=out_t, values=out_v, stats=stats)

@@ -28,6 +28,8 @@ import re
 from dataclasses import dataclass
 
 from repro.errors import QueryError
+from repro.iotdb.aggregation import aggregate_from_points, aggregate_windows
+from repro.iotdb.query import QueryResult
 
 _MAX_TIME = 2**62
 
@@ -172,8 +174,6 @@ def parse(statement: str) -> ParsedQuery:
 
 def _filter_by_value(result, predicates: tuple[tuple[str, float], ...]):
     """Apply conjunctive value predicates to a raw query result."""
-    from repro.iotdb.query import QueryResult
-
     checks = [(_VALUE_OPS[op], literal) for op, literal in predicates]
     ts = []
     vs = []
@@ -224,8 +224,6 @@ class Session:
             filtered = _filter_by_value(raw, parsed.value_predicates)
             if parsed.aggregation is None:
                 return filtered
-            from repro.iotdb.aggregation import aggregate_from_points, aggregate_windows
-
             if parsed.group_window is not None:
                 buckets = aggregate_windows(filtered, start, end, parsed.group_window)
                 return [(b.start, b.result.get(parsed.aggregation)) for b in buckets]

@@ -15,6 +15,15 @@ validate everything, one WAL ``append_batch`` per non-empty space, apply to
 the memtables, one ``should_flush`` per space — so there is exactly one
 commit point per unit of work and a rejected write leaves no durable trace.
 
+One read path: ``query``, ``aggregate`` and ``latest_time`` all start from
+:meth:`StorageShard._column_sources` — the only walk over a column's
+sources, in freshness order — and ``query``/``aggregate`` share
+:meth:`StorageShard._read_sources` (range validation, TTL clamp, dropping
+live memtables that cannot intersect the range).  A read then either merges
+the sources' range-cut columns (:mod:`repro.iotdb.query`) or, when only
+disjoint sealed sequence chunks are in range, folds their page statistics
+(:mod:`repro.iotdb.aggregation`); every read is counted and timed once.
+
 A shard keeps everything (TsFiles and WAL segments) under its own
 ``shard-NN/`` key prefix of the engine's
 :class:`~repro.iotdb.backends.BlobStore` — on the local-directory backend
@@ -44,7 +53,7 @@ Interval index: the shard maintains a per-shard
 :class:`~repro.iotdb.interval_index.IntervalIndex` over its sealed files —
 updated on every seal and compaction swap, persisted next to the TsFiles
 (fault sites ``index.write``/``index.swap``), and rebuilt-or-validated
-during :meth:`recover`.  With ``config.index_enabled`` the query path
+during :meth:`recover`.  With ``config.index_enabled`` the query executor
 opens only sealed files whose time range intersects the query range; a
 torn or stale index file is rebuilt from the sealed files themselves, so
 index damage can cost a rebuild but never a wrong answer.
@@ -62,9 +71,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from repro.analysis.concurrency import apply_guards, create_lock, holds
-from repro.errors import StorageError
+from repro.errors import QueryError, StorageError
+from repro.iotdb.aggregation import (
+    AggregationResult,
+    aggregate_from_points,
+    aggregate_sealed_chunk,
+    combine,
+    empty_aggregate,
+)
 from repro.iotdb.config import IoTDBConfig
 from repro.iotdb.flush import FlushReport, flush_memtable
 from repro.iotdb.interval_index import (
@@ -75,7 +92,7 @@ from repro.iotdb.interval_index import (
     entry_for_sealed,
 )
 from repro.iotdb.memtable import MemTable, check_timestamps
-from repro.iotdb.query import QueryResult, TimeRangeQueryExecutor
+from repro.iotdb.query import QueryResult, QueryStats, TimeRangeQueryExecutor
 from repro.iotdb.separation import SeparationPolicy, Space
 from repro.iotdb.tsfile import TsFileReader, TsFileWriter
 from repro.iotdb.wal import SegmentedWal
@@ -96,6 +113,22 @@ class _SealedFile:
     #: Stable id (``<space>-<counter>``) keying this file in the shard's
     #: interval index; counters are never reused within a shard.
     file_id: str = ""
+
+
+class _Source(NamedTuple):
+    """One place a column's points may live (see ``_column_sources``)."""
+
+    #: A sealed file's space; ``None`` for a live memtable.
+    space: Space | None
+    holder: _SealedFile | MemTable
+    #: The column there — a ``ChunkMetadata`` or a ``TVList``, both with
+    #: ``min_time``/``max_time`` — or ``None``: the file has no chunk of it.
+    chunk: object
+
+    def intersects(self, start: int, end: int) -> bool:
+        """Can the column hold a point with ``start <= t < end`` here?"""
+        chunk = self.chunk
+        return chunk is not None and chunk.min_time < end and chunk.max_time >= start
 
 
 @dataclass
@@ -512,16 +545,65 @@ class StorageShard:
             reports.extend(self.drain_flushes())
             return reports
 
-    # -- query path ------------------------------------------------------------
+    # -- read path -------------------------------------------------------------
 
-    def _ttl_floor(self, device: str, sensor: str) -> int | None:
-        """Smallest live timestamp under the TTL policy (None = no TTL)."""
-        if self.config.ttl is None:
-            return None
-        latest = self.latest_time(device, sensor)
-        if latest is None:
-            return None
-        return latest - self.config.ttl + 1
+    @holds("_lock")
+    def _column_sources(self, device: str, sensor: str) -> list[_Source]:
+        """Every place the column's points may live, stalest first.
+
+        The one source enumeration, and the shard's freshness order — the
+        overwrite rule of every read: sealed sequence files in write order,
+        sealed unsequence files in write order, FLUSHING memtables in
+        retirement order, the working unsequence memtable (late rewrites of
+        old timestamps), the working sequence memtable.  A sealed file that
+        has no chunk of the column is listed with ``chunk=None``; a memtable
+        that has no point of it is not listed.
+        """
+        sources: list[_Source] = []
+        unsequence: list[_Source] = []
+        for sealed in self._sealed:
+            chunk = sealed.reader.chunk_metadata(device, sensor)
+            if chunk is not None and not chunk.pages:
+                chunk = None  # the format admits a chunk with no page
+            group = sources if sealed.space is Space.SEQUENCE else unsequence
+            group.append(_Source(sealed.space, sealed, chunk))
+        sources += unsequence
+        for memtable in (
+            *(task.memtable for task in self._flushing),
+            self._working[Space.UNSEQUENCE],
+            self._working[Space.SEQUENCE],
+        ):
+            tvlist = memtable.chunk(device, sensor)
+            if tvlist is not None and len(tvlist):
+                sources.append(_Source(None, memtable, tvlist))
+        return sources
+
+    @holds("_lock")
+    def _read_sources(
+        self, device: str, sensor: str, start: int, end: int
+    ) -> tuple[int, list[_Source]]:
+        """The one read plan: validate ``[start, end)``, clamp ``start`` to
+        the TTL floor (points older than the column's latest event time
+        minus the TTL are expired) and keep the sources a read must consult.
+
+        A live memtable whose ``[min_time, max_time]`` misses the range is
+        not a source, and a range the TTL leaves nothing of has none.  A
+        sealed file always is one — pruning those by time is the interval
+        index's job inside the executor, ``index_enabled=False`` being the
+        reference path that opens them all; ``intersects`` still tells
+        :meth:`aggregate` whether its chunk can hold an in-range point.
+        """
+        if start >= end:
+            raise QueryError(f"empty time range [{start}, {end})")
+        sources = self._column_sources(device, sensor)
+        latest = _latest_time(sources) if self.config.ttl is not None else None
+        if latest is not None:
+            start = max(start, latest - self.config.ttl + 1)
+            if start >= end:
+                return start, []
+        return start, [
+            s for s in sources if s.space is not None or s.intersects(start, end)
+        ]
 
     def query(self, device: str, sensor: str, start: int, end: int) -> QueryResult:
         """``SELECT * FROM device.sensor WHERE start <= time < end``.
@@ -533,164 +615,74 @@ class StorageShard:
             "engine.query", device=device, sensor=sensor, shard=self.shard_id
         ) as span:
             with self._lock:
-                floor = self._ttl_floor(device, sensor)
-                if floor is not None and floor > start:
-                    if floor >= end:
-                        from repro.iotdb.query import QueryStats
-
-                        self._record_query(0.0)
-                        return QueryResult(
-                            timestamps=[], values=[], stats=QueryStats()
-                        )
-                    start = floor
-                seq_files = [
-                    (f.file_id, f.reader)
-                    for f in self._sealed
-                    if f.space is Space.SEQUENCE
-                ]
-                unseq_files = [
-                    (f.file_id, f.reader)
-                    for f in self._sealed
-                    if f.space is Space.UNSEQUENCE
-                ]
-                flushing = [task.memtable for task in self._flushing]
-                # Both working memtables can hold in-range points; merge order
-                # makes the sequence table freshest-but-one, the unsequence
-                # table holds late rewrites of old timestamps.
-                result = self._executor.execute(
-                    device,
-                    sensor,
-                    start,
-                    end,
-                    flushing_memtables=flushing + [self._working[Space.UNSEQUENCE]],
-                    working_memtable=self._working[Space.SEQUENCE],
-                    seq_files=seq_files,
-                    unseq_files=unseq_files,
-                    index=self._index if self.config.index_enabled else None,
-                )
-                self._record_query(
-                    result.stats.total_seconds,
-                    files_opened=result.stats.files_opened,
-                    files_pruned=result.stats.files_pruned,
-                )
+                started = self.obs.clock.now()
+                start, sources = self._read_sources(device, sensor, start, end)
+                result = QueryResult(timestamps=[], values=[], stats=QueryStats())
+                if sources:
+                    # Already in freshness order, so the executor's four
+                    # slots collapse to "the files" and "the memtables".
+                    result = self._executor.execute(
+                        device, sensor, start, end,
+                        seq_files=[
+                            (s.holder.file_id, s.holder.reader)
+                            for s in sources if s.space is not None
+                        ],
+                        flushing_memtables=[
+                            s.holder for s in sources if s.space is None
+                        ],
+                        index=self._index if self.config.index_enabled else None,
+                    )
+                self._record_read(started)
+                self._instruments.query_files_opened.inc(result.stats.files_opened)
+                self._instruments.index_files_pruned.inc(result.stats.files_pruned)
             span.set(points=len(result))
         return result
 
-    def _record_query(
-        self, seconds: float, *, files_opened: int = 0, files_pruned: int = 0
-    ) -> None:
+    def _record_read(self, started: float) -> None:
+        """Count one read and observe the time it took: every ``query`` or
+        ``aggregate`` call lands here exactly once — a raw-scan aggregate
+        through the ``query`` it delegates to."""
         self._instruments.queries.inc()
-        self._instruments.query_seconds.observe(seconds)
-        if files_opened:
-            self._instruments.query_files_opened.inc(files_opened)
-        if files_pruned:
-            self._instruments.index_files_pruned.inc(files_pruned)
+        self._instruments.query_seconds.observe(self.obs.clock.now() - started)
 
-    def aggregate(self, device: str, sensor: str, start: int, end: int):
+    def aggregate(
+        self, device: str, sensor: str, start: int, end: int
+    ) -> AggregationResult:
         """Aggregations over ``[start, end)``: count/sum/avg/min/max/first/last.
 
-        When the range is served *only* by sealed sequence files (no live
-        memtable points, no unsequence data in range), fully covered pages
-        are answered from their statistics without decoding — the payoff of
-        the statistics the flush pipeline computes.  Any fresher overlapping
-        source forces the always-correct merged raw scan, because an
-        overwrite could invalidate per-page sums.
+        The statistics-vs-raw-scan rule, stated once: when every source
+        that can hold an in-range point is a sealed sequence chunk and
+        those chunks' time spans are pairwise disjoint, no timestamp can be
+        rewritten or double-counted, so each chunk folds its fully covered
+        pages from their statistics without decoding them.  Anything else —
+        a live point, unsequence data, or the overlapping sequence files a
+        crash or an interrupted compaction can leave — takes the
+        always-correct merged raw scan through :meth:`query`.
         """
-        from repro.errors import QueryError
-        from repro.iotdb.aggregation import (
-            AggregationResult,
-            aggregate_from_points,
-            aggregate_sealed_chunk,
-        )
-
-        if start >= end:
-            raise QueryError(f"empty time range [{start}, {end})")
-        floor = self._ttl_floor(device, sensor)
-        if floor is not None and floor > start:
-            if floor >= end:
-                return AggregationResult(
-                    count=0, sum=None, avg=None, min_value=None,
-                    max_value=None, first=None, last=None,
-                )
-            start = floor
         with self.obs.span(
             "engine.aggregate", device=device, sensor=sensor, shard=self.shard_id
         ):
             with self._lock:
-                if self._fast_aggregation_safe(device, sensor, start, end):
-                    partials = []
-                    for sealed in self._sealed:
-                        if sealed.space is not Space.SEQUENCE:
-                            continue
-                        meta = sealed.reader.chunk_metadata(device, sensor)
-                        if (
-                            meta is None
-                            or meta.max_time < start
-                            or meta.min_time >= end
-                        ):
-                            continue
-                        partials.append(
-                            aggregate_sealed_chunk(
-                                sealed.reader, device, sensor, start, end
-                            )
+                started = self.obs.clock.now()
+                floor, sources = self._read_sources(device, sensor, start, end)
+                chunks = [s for s in sources if s.intersects(floor, end)]
+                spans = sorted((s.chunk.min_time, s.chunk.max_time) for s in chunks)
+                disjoint = all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+                if disjoint and all(s.space is Space.SEQUENCE for s in chunks):
+                    result = empty_aggregate()
+                    for s in chunks:
+                        reader = s.holder.reader
+                        result = combine(
+                            result, aggregate_sealed_chunk(reader, s.chunk, floor, end)
                         )
-                    self._record_query(0.0)
-                    return combine_aggregates(partials)
+                    self._record_read(started)
+                    return result
                 return aggregate_from_points(self.query(device, sensor, start, end))
-
-    @holds("_lock")
-    def _fast_aggregation_safe(
-        self, device: str, sensor: str, start: int, end: int
-    ) -> bool:
-        """No source fresher than the sealed sequence files overlaps the range,
-        and the sequence files themselves are pairwise disjoint for this
-        column (crash recovery or an interrupted compaction can leave
-        overlapping sequence files whose per-file partial sums would
-        double-count)."""
-        for space in (Space.SEQUENCE, Space.UNSEQUENCE):
-            tvlist = self._working[space].chunk(device, sensor)
-            if tvlist is not None and tvlist.overlaps(start, end):
-                return False
-        for task in self._flushing:
-            tvlist = task.memtable.chunk(device, sensor)
-            if tvlist is not None and tvlist.overlaps(start, end):
-                return False
-        seq_ranges: list[tuple[int, int]] = []
-        for sealed in self._sealed:
-            meta = sealed.reader.chunk_metadata(device, sensor)
-            if meta is None or meta.min_time is None:
-                continue
-            if sealed.space is Space.UNSEQUENCE:
-                if meta.min_time < end and meta.max_time >= start:
-                    return False
-            else:
-                seq_ranges.append((meta.min_time, meta.max_time))
-        seq_ranges.sort()
-        for i in range(1, len(seq_ranges)):
-            if seq_ranges[i][0] <= seq_ranges[i - 1][1]:
-                return False
-        return True
 
     def latest_time(self, device: str, sensor: str) -> int | None:
         """Largest timestamp ever written for a column (benchmark helper)."""
         with self._lock:
-            best: int | None = None
-            live_memtables = list(self._working.values()) + [
-                task.memtable for task in self._flushing
-            ]
-            for memtable in live_memtables:
-                tvlist = memtable.chunk(device, sensor)
-                if tvlist is not None and tvlist.max_time is not None:
-                    best = (
-                        tvlist.max_time
-                        if best is None
-                        else max(best, tvlist.max_time)
-                    )
-            for sealed in self._sealed:
-                meta = sealed.reader.chunk_metadata(device, sensor)
-                if meta is not None and meta.max_time is not None:
-                    best = meta.max_time if best is None else max(best, meta.max_time)
-            return best
+            return _latest_time(self._column_sources(device, sensor))
 
     # -- compaction ----------------------------------------------------------
 
@@ -911,41 +903,7 @@ class StorageShard:
         return replayed
 
 
-def combine_aggregates(partials: list):
-    """Merge per-file aggregates of non-overlapping, time-ordered chunks."""
-    from repro.iotdb.aggregation import AggregationResult
 
-    combined = AggregationResult(
-        count=0, sum=None, avg=None, min_value=None, max_value=None,
-        first=None, last=None,
-    )
-    total: float | None = 0.0
-    for p in partials:
-        if p.count == 0:
-            continue
-        combined.count += p.count
-        if p.sum is None:
-            total = None
-        elif total is not None:
-            total += p.sum
-        if p.min_value is not None:
-            combined.min_value = (
-                p.min_value
-                if combined.min_value is None
-                else min(combined.min_value, p.min_value)
-            )
-        if p.max_value is not None:
-            combined.max_value = (
-                p.max_value
-                if combined.max_value is None
-                else max(combined.max_value, p.max_value)
-            )
-        if combined.first is None:
-            combined.first = p.first
-        combined.last = p.last
-        combined.pages_skipped += p.pages_skipped
-        combined.pages_decoded += p.pages_decoded
-    if combined.count:
-        combined.sum = total
-        combined.avg = total / combined.count if total is not None else None
-    return combined
+def _latest_time(sources: list[_Source]) -> int | None:
+    times = [s.chunk.max_time for s in sources if s.chunk is not None]
+    return max(times, default=None)

@@ -27,6 +27,7 @@ import io
 import json
 import struct
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidParameterError, TsFileCorruptionError
@@ -34,6 +35,21 @@ from repro.iotdb.config import TSDataType
 from repro.iotdb.encoding import get_encoder
 
 MAGIC = b"TsFilePy1"
+
+
+def cut_range(ts: list[int], vs: list, start: int, end: int) -> tuple[list[int], list]:
+    """The points of a *sorted* column with ``start <= t < end``.
+
+    The one range cut of the read path: two binary searches on the time
+    column instead of a per-point filter, shared by sealed pages
+    (:meth:`TsFileReader.query_range`, the boundary pages of the statistics
+    aggregate) and sorted memtable columns (the query executor).
+    """
+    lo = bisect_left(ts, start)
+    hi = bisect_left(ts, end, lo)
+    if lo == 0 and hi == len(ts):
+        return ts, vs
+    return ts[lo:hi], vs[lo:hi]
 
 
 @dataclass
@@ -247,6 +263,9 @@ class TsFileReader:
     def __init__(self, fileobj) -> None:
         self._file = fileobj
         self._chunks: dict[tuple[str, str], ChunkMetadata] = {}
+        #: Points decoded by this reader so far (cumulative): what a read
+        #: *scanned*, as opposed to what its range cut returned.
+        self.points_decoded = 0
         self._load_index()
 
     def _load_index(self) -> None:
@@ -282,7 +301,10 @@ class TsFileReader:
     def chunk_metadata(self, device: str, sensor: str) -> ChunkMetadata | None:
         return self._chunks.get((device, sensor))
 
-    def _read_page(self, chunk: ChunkMetadata, page: PageMetadata) -> tuple[list[int], list]:
+    def read_page(
+        self, chunk: ChunkMetadata, page: PageMetadata, start: int, end: int
+    ) -> tuple[list[int], list]:
+        """One page's points with ``start <= t < end``: decode, then cut."""
         self._file.seek(page.offset)
         (tlen,) = struct.unpack("<I", self._file.read(4))
         tbytes = self._file.read(tlen)
@@ -303,20 +325,15 @@ class TsFileReader:
         vs = get_encoder(chunk.value_encoding, chunk.dtype).decode(
             vbytes, page.stats.count
         )
-        return ts, vs
+        self.points_decoded += page.stats.count
+        return cut_range(ts, vs, start, end)
 
     def read_chunk(self, device: str, sensor: str) -> tuple[list[int], list]:
         """All points of one column, in time order."""
         chunk = self._chunks.get((device, sensor))
-        if chunk is None:
+        if chunk is None or not chunk.pages:
             return [], []
-        all_t: list[int] = []
-        all_v: list = []
-        for page in chunk.pages:
-            ts, vs = self._read_page(chunk, page)
-            all_t.extend(ts)  # repro: allow(stats-accounting): page concat, not a sort
-            all_v.extend(vs)
-        return all_t, all_v
+        return self.query_range(device, sensor, chunk.min_time, chunk.max_time + 1)
 
     def describe(self) -> dict:
         """Layout summary: chunks, pages, points, and per-column time spans.
@@ -351,18 +368,20 @@ class TsFileReader:
     def query_range(
         self, device: str, sensor: str, start: int, end: int
     ) -> tuple[list[int], list]:
-        """Points with ``start <= t < end``, using page stats to skip pages."""
-        chunk = self._chunks.get((device, sensor))
-        if chunk is None:
-            return [], []
+        """Points with ``start <= t < end``, in time order.
+
+        The one page loop: pages whose statistics miss the range are
+        skipped, the rest are decoded and cut to the range.
+        """
         out_t: list[int] = []
         out_v: list = []
+        chunk = self._chunks.get((device, sensor))
+        if chunk is None:
+            return out_t, out_v
         for page in chunk.pages:
             if page.stats.max_time < start or page.stats.min_time >= end:
                 continue
-            ts, vs = self._read_page(chunk, page)
-            for t, v in zip(ts, vs):
-                if start <= t < end:
-                    out_t.append(t)  # repro: allow(stats-accounting): range filter, not a sort
-                    out_v.append(v)
+            ts, vs = self.read_page(chunk, page, start, end)
+            out_t.extend(ts)  # repro: allow(stats-accounting): page concat, not a sort
+            out_v.extend(vs)
         return out_t, out_v

@@ -180,12 +180,6 @@ class TVList:
         """Smallest timestamp ingested so far (None when empty)."""
         return self._min_time_seen
 
-    def overlaps(self, start: int, end: int) -> bool:
-        """True when any ingested timestamp could fall in ``[start, end)``."""
-        if self._size == 0:
-            return False
-        return self._min_time_seen < end and self._max_time_seen >= start
-
     def get_time(self, index: int) -> int:
         self._check_index(index)
         return self._time_arrays[index // self._array_size][index % self._array_size]

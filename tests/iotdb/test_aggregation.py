@@ -121,18 +121,56 @@ class TestFastPath:
         assert agg.sum == 50 * 2.0 + 50 * 1.0
 
 
+    def test_first_last_after_partial_compaction(self):
+        # Overlap-policy compaction appends the merged [0, 199] file *after*
+        # the untouched [200, 299] one: the fold must order by time, not by
+        # a file's position in the sealed list.
+        engine = StorageEngine.create(
+            IoTDBConfig(
+                memtable_flush_threshold=100,
+                page_size=10,
+                compaction_policy="overlap",
+                compaction_overlap_threshold=2,
+            )
+        )
+        for t in range(300):
+            engine.write("d", "s", t, float(t))
+        for t in range(50, 150):
+            engine.write("d", "s", t, float(t))
+        engine.flush_all()
+        engine.compact()
+        agg = engine.aggregate("d", "s", 0, 300)
+        assert agg.pages_skipped == 30  # answered from statistics
+        assert (agg.first, agg.last) == (0.0, 299.0)
+        assert (agg.first_time, agg.last_time) == (0, 299)
+
+
 class TestFastSlowEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(
         start=st.integers(0, 900),
         width=st.integers(1, 900),
         threshold=st.sampled_from([150, 400, 2_000]),
+        policy=st.sampled_from(["full", "overlap"]),
+        compact_after=st.none() | st.integers(0, 999),
     )
-    def test_aggregate_equals_scan(self, start, width, threshold):
+    def test_aggregate_equals_scan(
+        self, start, width, threshold, policy, compact_after
+    ):
         stream = make_delayed_stream(1_000, lam=0.2, seed=31)
-        engine = _engine(threshold=threshold, page_size=64)
-        for t, v in zip(stream.timestamps, stream.values):
+        engine = StorageEngine.create(
+            IoTDBConfig(
+                memtable_flush_threshold=threshold,
+                page_size=64,
+                compaction_policy=policy,
+                compaction_overlap_threshold=1,
+            )
+        )
+        for i, (t, v) in enumerate(zip(stream.timestamps, stream.values)):
             engine.write("d", "s", t, v)
+            if i == compact_after:
+                engine.flush_all()
+                engine.compact()
         end = start + width
         fast = engine.aggregate("d", "s", start, end)
         slow = aggregate_from_points(engine.query("d", "s", start, end))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
 from repro.iotdb import (
     IoTDBConfig,
     MemTable,
+    StorageEngine,
     TsFileReader,
     TsFileWriter,
     flush_memtable,
@@ -145,6 +147,19 @@ class TestQueryExecutor:
         )
         assert result.timestamps == [50]
 
+    def test_memtable_missing_the_range_is_not_a_source(self):
+        # 2 000 shuffled live points at t=1000..2999: a query of [0, 500)
+        # must not flatten, let alone sort, a TVList that cannot intersect.
+        engine = StorageEngine.create(IoTDBConfig(memtable_flush_threshold=10**9))
+        ts = list(range(1_000, 3_000))
+        random.Random(0).shuffle(ts)
+        engine.write_batch("d", "s", ts, [float(t) for t in ts])
+        stats = engine.query("d", "s", 0, 500).stats
+        assert stats.sources_visited == 0
+        assert stats.points_scanned == 0
+        assert stats.sort_stats.comparisons == 0
+        assert len(engine.query("d", "s", 2_500, 2_600)) == 100
+
     def test_rejects_empty_range(self):
         executor = TimeRangeQueryExecutor(get_sorter("backward"))
         with pytest.raises(QueryError):
@@ -166,3 +181,15 @@ class TestQueryExecutor:
         assert result.stats.points_scanned == 100
         assert result.stats.points_returned == 10
         assert result.stats.total_seconds > 0
+
+    def test_sealed_points_scanned_counts_decoded_points(self):
+        # [50, 150) touches two 100-point pages: both are decoded, half of
+        # each survives the range cut.
+        engine = StorageEngine.create(
+            IoTDBConfig(memtable_flush_threshold=1_000, page_size=100)
+        )
+        for t in range(1_000):
+            engine.write("d", "s", t, float(t))
+        stats = engine.query("d", "s", 50, 150).stats
+        assert stats.points_scanned == 200
+        assert stats.points_returned == 100

@@ -38,6 +38,33 @@ class TestMetrics:
         query_hist = reg.get("engine_query_seconds")
         assert query_hist.count == 1
 
+    def test_every_read_records_once_with_its_elapsed_time(self):
+        # Statistics-path aggregates and a TTL-expired query used to log a
+        # literal 0.0; every read observes the time it actually took.
+        obs = Observability()
+        engine = StorageEngine.create(
+            IoTDBConfig(memtable_flush_threshold=100, ttl=50), obs=obs
+        )
+        for t in range(100):
+            engine.write("d", "s", t, float(t))
+        hist = obs.registry.get("engine_query_seconds")
+        reads = [
+            lambda: engine.aggregate("d", "s", 60, 100),  # page statistics
+            lambda: engine.aggregate("d", "s", 0, 40),  # wholly expired
+            lambda: engine.query("d", "s", 0, 40),  # wholly expired
+            lambda: engine.query("d", "s", 60, 100),
+        ]
+        for count, read in enumerate(reads, start=1):
+            before = hist.sum
+            read()
+            assert obs.registry.get("engine_queries_total").value == count
+            assert hist.count == count
+            assert hist.sum > before
+        engine.write("d", "s", 99, 1.0)  # a live rewrite forces the raw scan
+        assert engine.aggregate("d", "s", 60, 100).last == 1.0
+        assert obs.registry.get("engine_queries_total").value == 5
+        assert hist.count == 5
+
     def test_sorter_bridge_labels_flush_and_query_sites(self, traced_engine):
         engine, obs = traced_engine
         invocations = obs.registry.get("sort_invocations_total")
