@@ -47,7 +47,7 @@ from repro.iotdb.tsfile import (
     TsFileReader,
     TsFileWriter,
 )
-from repro.iotdb.tvlist import TVList, dedupe_arrival, dedupe_sorted
+from repro.iotdb.tvlist import TVList, dedupe_arrival
 from repro.iotdb.typed_tvlists import (
     BooleanTVList,
     DoubleTVList,
@@ -114,7 +114,6 @@ __all__ = [
     "TsFileWriter",
     "WriteAheadLog",
     "dedupe_arrival",
-    "dedupe_sorted",
     "flush_memtable",
     "get_encoder",
     "infer_dtype",

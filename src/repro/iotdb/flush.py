@@ -1,4 +1,4 @@
-"""The flush pipeline: sort → deduplicate → encode → write (paper §V-C).
+"""The flush pipeline: deduplicate → sort → encode → write (paper §V-C).
 
 "For flushing, after the MemTable is full and turning into a flushing
 state, the time series needs to be sorted and then written to the disk."
@@ -20,7 +20,6 @@ from repro.core.instrumentation import SortStats
 from repro.core.sorter import Sorter
 from repro.iotdb.config import IoTDBConfig
 from repro.iotdb.memtable import MemTable, MemTableState
-from repro.iotdb.tvlist import dedupe_sorted
 from repro.iotdb.tsfile import TsFileWriter
 from repro.obs import NOOP, Observability
 
@@ -117,9 +116,9 @@ def flush_memtable(
                 timed = tvlist.sort_in_place(
                     sorter, obs=obs, site="flush", series=f"{device}.{sensor}"
                 )
+                # sort_in_place leaves the list strictly increasing.
                 ts = tvlist.timestamps()
                 vs = tvlist.values()
-                ts, vs = dedupe_sorted(ts, vs)
                 expired = 0
                 if config.ttl is not None and ts:
                     # Event-time TTL: points older than this chunk's latest

@@ -10,10 +10,19 @@ query-throughput experiment measures precisely this cost, so
 One read path: the shard hands :meth:`TimeRangeQueryExecutor.execute` a
 range's sources stalest first (``seq files < unseq files < flushing
 memtables < working memtables``, write order within each); every source
-yields one sorted column cut to the range by
+yields one column cut to the range by
 :func:`~repro.iotdb.tsfile.cut_range`, and :func:`merge_last_write_wins`
 — shared with compaction — applies IoTDB's overwrite rule: for duplicate
 timestamps the *freshest* source wins.
+
+The source contract, stated once: **every source yields a strictly
+increasing column**.  A sealed chunk does by construction
+(:meth:`~repro.iotdb.tsfile.TsFileWriter.write_chunk` refuses anything
+else); a memtable does because ``TVList.is_sorted`` means strictly
+increasing, and an unsorted TVList is deduplicated in arrival order before
+its sort.  Duplicates therefore exist only *between* sources, so the merge
+concatenates columns whose spans do not overlap and resolves only the
+columns that do.
 """
 
 from __future__ import annotations
@@ -57,18 +66,48 @@ class QueryResult:
 
 
 def merge_last_write_wins(columns) -> tuple[list[int], list]:
-    """Merge sorted ``(ts, vs)`` columns given stalest first: one sorted,
-    duplicate-free column in which the freshest write of a timestamp wins
-    (inside a column, its last occurrence — arrival order for a TVList).
+    """Merge strictly increasing ``(ts, vs)`` columns given stalest first:
+    one strictly increasing column in which the freshest write of a
+    timestamp wins.
 
     The one last-write-wins merge — the query executor calls it over a
-    range's sources, compaction over a column's selected chunks.
+    range's sources, compaction over a column's selected chunks.  Empty
+    columns are dropped and a lone column is returned unchanged.  The rest
+    are swept in start order into groups of overlapping spans: a group of
+    one is concatenated as it is, without comparing points, and only a
+    group of overlapping columns is resolved through a dict in freshness
+    order.
     """
-    merged: dict[int, object] = {}
-    for ts, vs in columns:
-        merged.update(zip(ts, vs))
-    out_t = sorted(merged)
-    return out_t, [merged[t] for t in out_t]
+    live = [(ts, vs) for ts, vs in columns if ts]
+    spans = [(ts[0], ts[-1]) for ts, _ in live]
+    groups: list[list[int]] = []
+    group_end = 0
+    for index in sorted(range(len(live)), key=spans.__getitem__):
+        start, stop = spans[index]
+        if groups and start <= group_end:
+            groups[-1].append(index)
+            group_end = max(group_end, stop)
+        else:
+            groups.append([index])
+            group_end = stop
+    pieces = []
+    for group in groups:
+        if len(group) == 1:
+            pieces.append(live[group[0]])
+            continue
+        merged: dict[int, object] = {}
+        for index in sorted(group):  # freshness order: later columns win
+            merged.update(zip(*live[index]))
+        keys = sorted(merged)
+        pieces.append((keys, [merged[t] for t in keys]))
+    if len(pieces) == 1:
+        return pieces[0]
+    out_t: list[int] = []
+    out_v: list = []
+    for ts, vs in pieces:
+        out_t.extend(ts)  # repro: allow(stats-accounting): column concat, not a sort
+        out_v.extend(vs)
+    return out_t, out_v
 
 
 class TimeRangeQueryExecutor:

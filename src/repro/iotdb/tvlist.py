@@ -7,7 +7,13 @@ memory utilization and memory access").  Appends fill the tail array and
 allocate a new one when full; random access decomposes an index into
 (array, offset).
 
-Sorting: a TVList tracks whether appends ever went back in time.  The sort
+Sorting: a TVList tracks whether its timestamps are *strictly* increasing
+in arrival order (:attr:`TVList.is_sorted`): an append that goes back in
+time *or rewrites the latest timestamp* clears the flag.  A sorted list is
+therefore also duplicate-free, which is the read path's source contract
+(:mod:`repro.iotdb.query`); every other list has its duplicates collapsed
+in arrival order (:func:`dedupe_arrival`) before it is sorted, on the query
+path and the flush path alike.  The sort
 entry points materialise the (time, value) pairs into flat arrays, run the
 configured :class:`~repro.core.sorter.Sorter`, and write back — IoTDB sorts
 in place over the backing arrays through the same index arithmetic; the
@@ -140,13 +146,13 @@ class TVList:
             self._size += take
             pos += take
         if self._sorted:
-            # The list stays sorted only if the batch itself never goes back
-            # in time and starts at or after everything seen so far.  ``prev``
+            # The list stays sorted only if the batch itself strictly
+            # increases and starts after everything seen so far.  ``prev``
             # tracks the running max, which *is* the previous element while
-            # the scan stays non-decreasing.
+            # the scan stays strictly increasing.
             prev = self._max_time_seen
             for t in timestamps:
-                if prev is not None and t < prev:
+                if prev is not None and t <= prev:
                     self._sorted = False
                     break
                 prev = t
@@ -167,7 +173,8 @@ class TVList:
 
     @property
     def is_sorted(self) -> bool:
-        """True when appends never went back in time."""
+        """True when timestamps strictly increase in arrival order: no
+        append went back in time or repeated a timestamp."""
         return self._sorted
 
     @property
@@ -227,8 +234,9 @@ class TVList:
     ) -> tuple[list[int], list, TimedResult]:
         """Query path: sorted copies of (times, values) without mutation.
 
-        Already-sorted lists skip the sort entirely (IoTDB checks the same
-        flag); the returned :class:`TimedResult` then reports zero cost.
+        The result is strictly increasing.  Already-sorted lists skip the
+        sort entirely (IoTDB checks the same flag); the returned
+        :class:`TimedResult` then reports zero cost.
         ``obs``/``site``/``series`` flow through to :meth:`Sorter.timed_sort`
         so the sort lands in the span tree and the per-sorter metrics, and a
         block-size-caching sorter can key its cache by series.
@@ -297,10 +305,9 @@ def dedupe_arrival(ts: list[int], vs: list) -> tuple[list[int], list]:
     Must run **before** the sort: several registry sorters (Backward-Sort's
     block quicksort included) are unstable, so once a tie group has been
     through them the arrival order is gone and "keep the last element of the
-    tie" — what :func:`dedupe_sorted` does — resolves the overwrite to an
-    arbitrary value.  Collapsing first means the sorter only ever sees
-    unique keys, so stability stops mattering.  Survivors keep their
-    original relative order.
+    tie" resolves the overwrite to an arbitrary value.  Collapsing first
+    means the sorter only ever sees unique keys, so stability stops
+    mattering.  Survivors keep their original relative order.
     """
     last: dict[int, int] = {}
     for i, t in enumerate(ts):
@@ -309,26 +316,3 @@ def dedupe_arrival(ts: list[int], vs: list) -> tuple[list[int], list]:
         return ts, vs
     keep = sorted(last.values())  # repro: allow(stats-accounting): O(k log k) dedupe index sort, not a point sort
     return [ts[i] for i in keep], [vs[i] for i in keep]  # repro: allow(parallel-arrays): dedupe, not a sort
-
-
-def dedupe_sorted(ts: list[int], vs: list) -> tuple[list[int], list]:
-    """Collapse duplicate timestamps, keeping the *last* written value.
-
-    IoTDB semantics: re-writing a timestamp overwrites the previous value;
-    the duplicate is resolved when the sorted run is materialised (flush or
-    query).  Requires ``ts`` sorted *and* tie groups in arrival order —
-    which an unstable sorter destroys, so unsorted arrays must go through
-    :func:`dedupe_arrival` before the sort; this post-sort pass then only
-    handles duplicates that were appended already-in-order.
-    """
-    if not ts:
-        return ts, vs
-    out_t: list[int] = []
-    out_v: list = []
-    for i in range(len(ts)):
-        if out_t and out_t[-1] == ts[i]:  # repro: allow(stats-accounting): dedupe, not a sort
-            out_v[-1] = vs[i]  # repro: allow(stats-accounting): dedupe, not a sort
-        else:
-            out_t.append(ts[i])  # repro: allow(stats-accounting, parallel-arrays): dedupe, not a sort
-            out_v.append(vs[i])
-    return out_t, out_v

@@ -6,6 +6,7 @@ import io
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.iotdb import (
     IoTDBConfig,
@@ -15,7 +16,7 @@ from repro.iotdb import (
     TsFileWriter,
     flush_memtable,
 )
-from repro.iotdb.query import TimeRangeQueryExecutor
+from repro.iotdb.query import TimeRangeQueryExecutor, merge_last_write_wins
 from repro.errors import QueryError
 from repro.sorting import get_sorter
 from tests.conftest import make_delayed_stream
@@ -182,6 +183,22 @@ class TestQueryExecutor:
         assert result.stats.points_returned == 10
         assert result.stats.total_seconds > 0
 
+    def test_in_order_rewrite_returns_the_new_value(self):
+        # t=1..5, then a batch that rewrites the latest timestamp in order:
+        # one point at t=5 carrying the new value, from the live memtable,
+        # the sealed file and the compacted file alike.
+        engine = StorageEngine.create(IoTDBConfig(memtable_flush_threshold=10**9))
+        engine.write_batch("d", "s", [1, 2, 3, 4, 5], [1.0, 2.0, 3.0, 4.0, 5.0])
+        engine.write_batch("d", "s", (5, 6), (50.0, 6.0))
+        expected = ([1, 2, 3, 4, 5, 6], [1.0, 2.0, 3.0, 4.0, 50.0, 6.0])
+        for step in (None, engine.flush_all, engine.compact):
+            if step is not None:
+                step()
+            result = engine.query("d", "s", 0, 10)
+            assert (result.timestamps, result.values) == expected
+            at_five = engine.query("d", "s", 5, 6)
+            assert (at_five.timestamps, at_five.values) == ([5], [50.0])
+
     def test_sealed_points_scanned_counts_decoded_points(self):
         # [50, 150) touches two 100-point pages: both are decoded, half of
         # each survives the range cut.
@@ -193,3 +210,59 @@ class TestQueryExecutor:
         stats = engine.query("d", "s", 50, 150).stats
         assert stats.points_scanned == 200
         assert stats.points_returned == 100
+
+
+@st.composite
+def _stalest_first_columns(draw):
+    """0–5 strictly increasing columns over a narrow time span, so drawn
+    spans are disjoint, touch at one timestamp, overlap or nest; each value
+    names its column so the winner of a timestamp is visible."""
+    columns = []
+    for index in range(draw(st.integers(0, 5))):
+        start = draw(st.integers(0, 60))
+        width = draw(st.integers(0, 20))
+        ts = sorted(draw(st.sets(st.integers(start, start + width), max_size=width + 1)))
+        columns.append((ts, [(index, t) for t in ts]))
+    return columns
+
+
+def _dict_model(columns):
+    merged = {}
+    for ts, vs in columns:
+        merged.update(zip(ts, vs))
+    keys = sorted(merged)
+    return keys, [merged[t] for t in keys]
+
+
+def _column(ts, index):
+    return list(ts), [(index, t) for t in ts]
+
+
+class TestMergeLastWriteWins:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=_stalest_first_columns())
+    @example(columns=[])
+    @example(columns=[_column([], 0)])
+    @example(columns=[_column([3, 4, 5], 0)])
+    @example(columns=[_column([6, 7], 0), _column([1, 2], 1), _column([], 2)])  # disjoint
+    @example(columns=[_column([1, 2, 5], 0), _column([5, 9], 1)])  # touch at t=5
+    @example(columns=[_column([1, 4, 8], 0), _column([3, 4, 6], 1)])  # overlap
+    @example(columns=[_column([1, 9], 0), _column([4, 5], 1), _column([20], 2)])  # nest
+    def test_matches_dict_model(self, columns):
+        assert merge_last_write_wins(columns) == _dict_model(columns)
+
+    def test_lone_column_is_returned_unchanged(self):
+        ts, vs = [1, 2, 3], ["a", "b", "c"]
+        out_t, out_v = merge_last_write_wins([([], []), (ts, vs), ([], [])])
+        assert out_t is ts and out_v is vs
+
+    def test_disjoint_columns_concatenate_in_start_order(self):
+        out = merge_last_write_wins([([10, 11], ["c", "d"]), ([1, 2], ["a", "b"])])
+        assert out == ([1, 2, 10, 11], ["a", "b", "c", "d"])
+
+    def test_fresher_column_wins_inside_an_overlap_group(self):
+        stale = ([1, 5, 9], ["s1", "s5", "s9"])
+        fresh = ([5, 6], ["f5", "f6"])
+        after = ([20, 21], ["x", "y"])
+        out = merge_last_write_wins([after, stale, fresh])
+        assert out == ([1, 5, 6, 9, 20, 21], ["s1", "f5", "f6", "s9", "x", "y"])

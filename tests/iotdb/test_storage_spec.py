@@ -61,6 +61,25 @@ def parse_wal_frames(blob: bytes):
     return frames, offset
 
 
+def spec_decode_ts2diff(data: bytes, count: int) -> list[int]:
+    """STORAGE.md §4 time column: the first value, then ``count - 1`` deltas,
+    each a zigzag LEB128 varint; every byte must be consumed."""
+    values, pos = [], 0
+    for _ in range(count):
+        z = shift = 0
+        while True:
+            byte = data[pos]
+            pos += 1
+            z |= (byte & 0x7F) << shift
+            shift += 7
+            if not byte & 0x80:
+                break
+        n = z // 2 if z % 2 == 0 else -(z + 1) // 2
+        values.append(n if not values else values[-1] + n)
+    assert pos == len(data), "undocumented trailing bytes in time column"
+    return values
+
+
 class TestWalSegmentSpec:
     def test_real_segment_parses_at_spec_offsets(self, data_dir):
         segment = data_dir / "shard-00" / "wal-seq-000002.log"
@@ -138,6 +157,30 @@ class TestTsFileSpec:
         assert zlib.crc32(footer) & 0xFFFFFFFF == footer_crc
         index = json.loads(footer)
         assert "d0" in json.dumps(index)  # the chunk index names the device
+
+    def test_time_column_decodes_with_the_spec_rule(self, data_dir):
+        blob = (data_dir / "shard-00" / "seq-000001.tsfile").read_bytes()
+        footer_len, _ = struct.unpack_from("<II", blob, len(blob) - len(SPEC_TSFILE_MAGIC) - 8)
+        footer_start = len(blob) - len(SPEC_TSFILE_MAGIC) - 8 - footer_len
+        (chunk,) = json.loads(blob[footer_start : footer_start + footer_len])
+        assert (chunk["device"], chunk["sensor"]) == ("d0", "s0")
+        assert (chunk["time_encoding"], chunk["compression"]) == ("ts2diff", "none")
+        times = []
+        for page in chunk["pages"]:
+            offset = page["offset"]
+            (time_len,) = struct.unpack_from("<I", blob, offset)
+            time_bytes = blob[offset + 4 : offset + 4 + time_len]
+            (value_len,) = struct.unpack_from("<I", blob, offset + 4 + time_len)
+            crc_at = offset + 4 + time_len + 4 + value_len
+            (crc,) = struct.unpack_from("<I", blob, crc_at)
+            assert crc == zlib.crc32(blob[offset:crc_at]) & 0xFFFFFFFF
+            page_times = spec_decode_ts2diff(time_bytes, page["stats"]["count"])
+            assert page_times[0] == page["stats"]["min_time"]
+            assert page_times[-1] == page["stats"]["max_time"]
+            times.extend(page_times)
+        assert times == list(range(64))
+        # Sorted timestamps one apart: every delta is the single byte zigzag(1).
+        assert time_bytes[1:] == b"\x02" * 63
 
     def test_no_part_keys_survive_clean_run(self, data_dir):
         assert not list(data_dir.rglob("*.part"))

@@ -14,7 +14,6 @@ from repro.iotdb import (
     TextTVList,
     TVList,
     dedupe_arrival,
-    dedupe_sorted,
     infer_dtype,
     tvlist_for,
 )
@@ -71,10 +70,38 @@ class TestLayout:
 class TestSortedTracking:
     def test_in_order_appends_stay_sorted(self):
         tv = TVList()
-        for t in (1, 2, 2, 5):
+        for t in (1, 2, 5):
             tv.put(t, None)
+        tv.put_all((6, 7), (None, None))
         assert tv.is_sorted
+        assert tv.max_time == 7
+
+    def test_in_order_rewrite_is_not_sorted(self):
+        # ``is_sorted`` means strictly increasing: repeating the latest
+        # timestamp clears it, so the rewrite is resolved by the same
+        # arrival-order dedupe + sort as an out-of-order write.
+        tv = TVList()
+        for t, v in ((1, "a"), (2, "b"), (2, "c"), (5, "d")):
+            tv.put(t, v)
+        assert not tv.is_sorted
         assert tv.max_time == 5
+        ts, vs, _ = tv.get_sorted_arrays(get_sorter("backward"))
+        assert (ts, vs) == ([1, 2, 5], ["a", "c", "d"])
+
+    def test_rewrite_inside_one_batch_is_not_sorted(self):
+        tv = TVList()
+        tv.put_all((1, 2, 2), ("a", "b", "c"))
+        assert not tv.is_sorted
+
+    def test_batch_starting_at_the_latest_timestamp_is_not_sorted(self):
+        tv = TVList()
+        tv.put_all((1, 2, 3), ("a", "b", "c"))
+        assert tv.is_sorted
+        tv.put_all((3, 4), ("new", "d"))
+        assert not tv.is_sorted
+        tv.sort_in_place(get_sorter("quick"))
+        assert tv.is_sorted
+        assert (tv.timestamps(), tv.values()) == ([1, 2, 3, 4], ["a", "b", "new", "d"])
 
     def test_out_of_order_append_flags(self):
         tv = TVList()
@@ -120,21 +147,6 @@ class TestSortedTracking:
         assert tv.values() == ["one", "two", "three"]
 
 
-class TestDedupeSorted:
-    def test_keeps_last_value(self):
-        ts, vs = dedupe_sorted([1, 2, 2, 2, 3], ["a", "b", "c", "d", "e"])
-        assert ts == [1, 2, 3]
-        assert vs == ["a", "d", "e"]
-
-    def test_no_duplicates_passthrough(self):
-        ts, vs = dedupe_sorted([1, 2, 3], list("abc"))
-        assert ts == [1, 2, 3]
-        assert vs == ["a", "b", "c"]
-
-    def test_empty(self):
-        assert dedupe_sorted([], []) == ([], [])
-
-
 class TestDedupeArrival:
     """Pre-sort dedupe: last arrival wins regardless of sorter stability."""
 
@@ -153,8 +165,8 @@ class TestDedupeArrival:
 
     def test_sort_in_place_resolves_overwrites_with_unstable_sorter(self):
         # Regression: Backward-Sort's block quicksort is unstable, so tie
-        # groups reach dedupe_sorted in arbitrary order and "keep the last"
-        # resolved an overwrite to the *older* value.  Two full passes over
+        # groups reached a post-sort dedupe in arbitrary order and "keep the
+        # last" resolved an overwrite to the *older* value.  Two full passes over
         # the same timestamps: the second pass (values t+50) must win.
         tv = TVList()
         for i, t in enumerate(list(range(50)) + list(range(50))):

@@ -74,6 +74,14 @@ class TestInPlaceTVListSort:
         backward_sort_tvlist_inplace(tv)
         assert tv.timestamps() == sorted(ts)
         assert sorted(tv.values()) == list(range(len(ts)))
+        # ``is_sorted`` promises strictly increasing: never set over duplicates.
+        assert tv.is_sorted == (len(set(ts)) == len(ts))
+
+    def test_duplicates_leave_the_list_unsorted(self):
+        tv = _tvlist_from([5, 3, 5, 1], ["a", "b", "c", "d"], array_size=2)
+        backward_sort_tvlist_inplace(tv)
+        assert tv.timestamps() == [1, 3, 5, 5]
+        assert not tv.is_sorted
 
     def test_stats_mirror_algorithm_phases(self):
         stream = make_delayed_stream(5_000, lam=0.5, seed=3)
