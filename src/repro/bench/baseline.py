@@ -339,6 +339,56 @@ def collect_query_index_cells(
     }
 
 
+def _live_tail_sort_ops(n: int, seed: int, tail_queries: bool) -> int:
+    """Live-TVList sort work of one batched ingest that never flushes.
+
+    One device receives a ``lognormal(1,1)`` stream in batches of 50.  With
+    ``tail_queries``, a query of the latest 500 time units follows every
+    batch and the result sums each query's comparisons + moves; without,
+    one query of everything at the end sorts the whole stream once.
+    """
+    from repro.iotdb import IoTDBConfig, StorageEngine
+
+    stream = TimeSeriesGenerator(LogNormalDelay(mu=1.0, sigma=1.0)).generate(
+        n, seed=seed
+    )
+    engine = StorageEngine.create(
+        IoTDBConfig(sorter="backward", memtable_flush_threshold=2 * n)
+    )
+    device = "root.baseline.tail"
+    latest = 0
+    queries = []
+    for at in range(0, n, 50):
+        ts = stream.timestamps[at : at + 50]
+        engine.write_batch(device, "s0", ts, stream.values[at : at + 50])
+        latest = max(latest, *ts)
+        if tail_queries:
+            queries.append(engine.query(device, "s0", latest - 499, latest + 1))
+    if not tail_queries:
+        queries.append(engine.query(device, "s0", 0, latest + 1))
+    engine.close()
+    return sum(q.stats.sort_stats.comparisons + q.stats.sort_stats.moves for q in queries)
+
+
+def collect_live_tail_cells(
+    n: int = DEFAULT_N, seed: int = DEFAULT_SEED
+) -> dict[str, dict[str, int]]:
+    """The live-tail cell: tail queries over a growing live TVList.
+
+    ``query_sort_ops`` is the sort work of a tail query after every batch,
+    ``single_sort_ops`` that of sorting the same stream once.  A query
+    sorts only what arrived since the previous one and backward-merges it
+    into the sorted prefix, so the checker enforces — structurally, every
+    run — that the whole loop costs at most twice the single sort.
+    """
+    return {
+        "query/live-tail": {
+            "query_sort_ops": _live_tail_sort_ops(n, seed, True),
+            "single_sort_ops": _live_tail_sort_ops(n, seed, False),
+        }
+    }
+
+
 def collect_baseline(n: int = DEFAULT_N, seed: int = DEFAULT_SEED) -> dict:
     """Op counts for every (algorithm, delay model) and ingest cell.
 
@@ -361,6 +411,7 @@ def collect_baseline(n: int = DEFAULT_N, seed: int = DEFAULT_SEED) -> dict:
     cells.update(collect_query_index_cells(n=n, seed=seed))
     cells.update(collect_ingest_path_cells(n=n, seed=seed))
     cells.update(collect_flush_cells(n=n, seed=seed))
+    cells.update(collect_live_tail_cells(n=n, seed=seed))
     return {"n": n, "seed": seed, "cells": cells}
 
 
@@ -376,8 +427,9 @@ def check_invariants(current: dict) -> list[str]:
     Each one asserts that an optimisation actually wins on its target
     workload, not merely that it doesn't regress: the interval index must
     open strictly fewer files, the batch ingest path must do strictly less
-    WAL work than the point path, and the block-size cache must save
-    flush-sort ops on a steady stream.
+    WAL work than the point path, the block-size cache must save
+    flush-sort ops on a steady stream, and tail queries must not re-sort
+    what an earlier query already sorted.
     """
     cells = current.get("cells", {})
     problems: list[str] = []
@@ -416,6 +468,15 @@ def check_invariants(current: dict) -> list[str]:
             f"flush/lcache=on performed {_total(cache_on)} flush-sort ops but "
             f"lcache=off performed {_total(cache_off)}: the block-size cache "
             "must never cost more than the full search"
+        )
+
+    tail = cells.get("query/live-tail")
+    if tail is not None and tail["query_sort_ops"] > 2 * tail["single_sort_ops"]:
+        problems.append(
+            f"query/live-tail tail queries performed {tail['query_sort_ops']} "
+            f"sort ops but one sort of the stream performed "
+            f"{tail['single_sort_ops']}: a query must sort only what arrived "
+            "since the last one (at most 2x the single sort)"
         )
 
     return problems

@@ -108,7 +108,8 @@ def flush_memtable(
     encode_total = 0.0
     with Timer(obs.clock) as total_timer:
         for device, sensor, tvlist in memtable.iter_chunks():
-            # Ingested count, before sort_in_place collapses duplicates.
+            # Points held before sort_in_place collapses duplicates (a
+            # query's in-place sort may already have collapsed some).
             ingested = len(tvlist)
             with obs.span(
                 "flush.chunk", device=device, sensor=sensor, points=ingested

@@ -8,19 +8,28 @@ query-throughput experiment measures precisely this cost, so
 :class:`QueryResult` carries the sort seconds separately.
 
 One read path: the shard hands :meth:`TimeRangeQueryExecutor.execute` a
-range's sources stalest first (``seq files < unseq files < flushing
-memtables < working memtables``, write order within each); every source
-yields one column cut to the range by
-:func:`~repro.iotdb.tsfile.cut_range`, and :func:`merge_last_write_wins`
-— shared with compaction — applies IoTDB's overwrite rule: for duplicate
-timestamps the *freshest* source wins.
+range's sources as two lists, each stalest first: the sealed files, then
+the live memtables (``seq files < unseq files < flushing memtables <
+working memtables``, write order within each).  Every source yields one
+column cut to the range — a sealed page by
+:func:`~repro.iotdb.tsfile.cut_range`, a live TVList by
+:meth:`~repro.iotdb.tvlist.TVList.cut_range` — and
+:func:`merge_last_write_wins`, shared with compaction, applies IoTDB's
+overwrite rule: for duplicate timestamps the *freshest* source wins.
+
+The query sorts each live TVList **in place**, under the shard lock the
+shard's ``query``/``aggregate`` hold (as does every flush), through the one
+sort entry point :meth:`~repro.iotdb.tvlist.TVList.sort_in_place`.  The
+TVList remembers how far it is sorted, so a tail query sorts only the
+points that arrived since the previous query and backward-merges them in,
+and the flush inherits what the queries sorted.
 
 The source contract, stated once: **every source yields a strictly
 increasing column**.  A sealed chunk does by construction
 (:meth:`~repro.iotdb.tsfile.TsFileWriter.write_chunk` refuses anything
 else); a memtable does because ``TVList.is_sorted`` means strictly
-increasing, and an unsorted TVList is deduplicated in arrival order before
-its sort.  Duplicates therefore exist only *between* sources, so the merge
+increasing, and the sort collapses duplicates in arrival order.
+Duplicates therefore exist only *between* sources, so the merge
 concatenates columns whose spans do not overlap and resolves only the
 columns that do.
 """
@@ -33,7 +42,7 @@ from repro.core.instrumentation import SortStats
 from repro.core.sorter import Sorter
 from repro.errors import QueryError
 from repro.iotdb.memtable import MemTable
-from repro.iotdb.tsfile import TsFileReader, cut_range
+from repro.iotdb.tsfile import TsFileReader
 from repro.obs import NOOP, Observability
 
 
@@ -124,24 +133,26 @@ class TimeRangeQueryExecutor:
         start: int,
         end: int,
         *,
-        seq_files: list[tuple[str | None, TsFileReader]] = (),
-        unseq_files: list[tuple[str | None, TsFileReader]] = (),
-        flushing_memtables: list[MemTable] = (),
-        working_memtable: MemTable | None = None,
+        files: list[tuple[str | None, TsFileReader]] = (),
+        memtables: list[MemTable] = (),
         index=None,
     ) -> QueryResult:
         """Gather each source's sorted in-range column, then merge them.
 
-        Sealed files arrive as ``(file_id, reader)`` pairs.  With an
+        ``files`` and ``memtables`` are each stalest first, and every
+        memtable is fresher than every file.  Sealed files arrive as
+        ``(file_id, reader)`` pairs.  With an
         :class:`~repro.iotdb.interval_index.IntervalIndex` injected via
         ``index``, the executor opens only the files whose
         ``[min_time, max_time]`` intersects ``[start, end)`` — files the
         index proves disjoint are counted in ``stats.files_pruned`` and
         never read.  A file the index does not know (or one passed with
         ``file_id=None``) is always opened (defensive: pruning may skip
-        work, never data).  ``stats.points_scanned`` counts what was
-        decoded or sorted to answer, ``points_returned`` what survived the
-        range cut and the merge.
+        work, never data).  Each memtable's TVList of the column is sorted
+        in place, so the caller must hold the lock its writers and flushes
+        take.  ``stats.points_scanned`` counts what was decoded, or held by
+        a sorted live TVList, to answer; ``points_returned`` what survived
+        the range cut and the merge.
         """
         if start >= end:
             raise QueryError(f"empty time range [{start}, {end})")
@@ -151,7 +162,7 @@ class TimeRangeQueryExecutor:
         started = obs.clock.now()
         # Freshness order: later columns overwrite earlier ones.
         columns: list[tuple[list[int], list]] = []
-        for file_id, reader in (*seq_files, *unseq_files):
+        for file_id, reader in files:
             if (
                 candidate_ids is not None
                 and file_id is not None
@@ -168,20 +179,18 @@ class TimeRangeQueryExecutor:
                 stats.sources_visited += 1
                 columns.append((ts, vs))
 
-        for memtable in (*flushing_memtables, working_memtable):
-            if memtable is None:
-                continue
+        for memtable in memtables:
             tvlist = memtable.chunk(device, sensor)
             if tvlist is None or len(tvlist) == 0:
                 continue
             stats.sources_visited += 1
-            ts, vs, timed = tvlist.get_sorted_arrays(
+            timed = tvlist.sort_in_place(
                 self._sorter, obs=obs, site="query", series=f"{device}.{sensor}"
             )
             stats.sort_seconds += timed.seconds
             stats.sort_stats.merge(timed.stats)
-            stats.points_scanned += len(ts)
-            columns.append(cut_range(ts, vs, start, end))
+            stats.points_scanned += len(tvlist)
+            columns.append(tvlist.cut_range(start, end))
 
         out_t, out_v = merge_last_write_wins(columns)
         stats.points_returned = len(out_t)

@@ -135,15 +135,15 @@ def parse(statement: str) -> ParsedQuery:
                 offset = int(expr[8:]) if len(expr) > 7 else 0
                 # Stored as "subtract this from current for the half-open
                 # bound": inclusive start = current - start_cur, exclusive
-                # end = current - end_cur.
-                if op == ">":
-                    start_cur = offset - 1
-                elif op == ">=":
-                    start_cur = offset
-                elif op == "<":
-                    end_cur = offset
-                else:  # <=
-                    end_cur = offset - 1
+                # end = current - end_cur.  Repeated predicates intersect:
+                # the latest start is the smallest offset, the earliest end
+                # the largest.
+                if op in (">", ">="):
+                    bound = offset - 1 if op == ">" else offset
+                    start_cur = bound if start_cur is None else min(start_cur, bound)
+                else:
+                    bound = offset if op == "<" else offset - 1
+                    end_cur = bound if end_cur is None else max(end_cur, bound)
             else:
                 value = int(expr)
                 if op == ">":
@@ -191,8 +191,19 @@ class Session:
         self.engine = engine
 
     def _resolve_range(self, parsed: ParsedQuery) -> tuple[int, int]:
+        """The half-open ``[start, end)`` a statement reads.
+
+        ``current`` resolves to the column's latest timestamp.  A ``GROUP
+        BY`` with no upper bound ends at ``current + 1``: one bucket per
+        window up to the latest point, not up to the end of time.
+        """
         start, end = parsed.start, parsed.end
-        if parsed.start_is_current_minus is not None or parsed.end_is_current_minus is not None:
+        unbounded_groups = parsed.group_window is not None and end == _MAX_TIME
+        if (
+            parsed.start_is_current_minus is not None
+            or parsed.end_is_current_minus is not None
+            or unbounded_groups
+        ):
             current = self.engine.latest_time(parsed.device, parsed.sensor)
             if current is None:
                 raise QueryError(
@@ -202,6 +213,8 @@ class Session:
                 start = max(start, current - parsed.start_is_current_minus)
             if parsed.end_is_current_minus is not None:
                 end = min(end, current - parsed.end_is_current_minus)
+            if unbounded_groups:
+                end = min(end, current + 1)
         if start >= end:
             raise QueryError(f"empty time range [{start}, {end})")
         return start, end

@@ -619,17 +619,16 @@ class StorageShard:
                 start, sources = self._read_sources(device, sensor, start, end)
                 result = QueryResult(timestamps=[], values=[], stats=QueryStats())
                 if sources:
-                    # Already in freshness order, so the executor's four
-                    # slots collapse to "the files" and "the memtables".
+                    # Already in freshness order: the files, then the
+                    # memtables, whose TVLists the executor sorts in place
+                    # under this lock.
                     result = self._executor.execute(
                         device, sensor, start, end,
-                        seq_files=[
+                        files=[
                             (s.holder.file_id, s.holder.reader)
                             for s in sources if s.space is not None
                         ],
-                        flushing_memtables=[
-                            s.holder for s in sources if s.space is None
-                        ],
+                        memtables=[s.holder for s in sources if s.space is None],
                         index=self._index if self.config.index_enabled else None,
                     )
                 self._record_read(started)

@@ -40,10 +40,11 @@ MAGIC = b"TsFilePy1"
 def cut_range(ts: list[int], vs: list, start: int, end: int) -> tuple[list[int], list]:
     """The points of a *sorted* column with ``start <= t < end``.
 
-    The one range cut of the read path: two binary searches on the time
-    column instead of a per-point filter, shared by sealed pages
-    (:meth:`TsFileReader.query_range`, the boundary pages of the statistics
-    aggregate) and sorted memtable columns (the query executor).
+    The range cut of sealed data: two binary searches on the time column
+    instead of a per-point filter, shared by :meth:`TsFileReader.query_range`
+    and the boundary pages of the statistics aggregate.  A sorted live
+    TVList cuts itself the same way over its backing arrays
+    (:meth:`~repro.iotdb.tvlist.TVList.cut_range`).
     """
     lo = bisect_left(ts, start)
     hi = bisect_left(ts, end, lo)

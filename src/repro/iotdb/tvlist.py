@@ -7,17 +7,29 @@ memory utilization and memory access").  Appends fill the tail array and
 allocate a new one when full; random access decomposes an index into
 (array, offset).
 
-Sorting: a TVList tracks whether its timestamps are *strictly* increasing
-in arrival order (:attr:`TVList.is_sorted`): an append that goes back in
-time *or rewrites the latest timestamp* clears the flag.  A sorted list is
-therefore also duplicate-free, which is the read path's source contract
-(:mod:`repro.iotdb.query`); every other list has its duplicates collapsed
-in arrival order (:func:`dedupe_arrival`) before it is sorted, on the query
-path and the flush path alike.  The sort
-entry points materialise the (time, value) pairs into flat arrays, run the
-configured :class:`~repro.core.sorter.Sorter`, and write back — IoTDB sorts
+Sorting: a TVList remembers how far it is sorted.  Its first
+``sorted_upto`` points are *strictly* increasing, and
+:attr:`TVList.is_sorted` means the whole list is.  The prefix grows by whole
+batches only: a :meth:`TVList.put_all` batch that strictly increases past
+the maximum of an already sorted list extends it; any other batch (one that
+goes back in time *or rewrites the latest timestamp*) leaves it where it
+was.  A sorted list is therefore also duplicate-free, which is the read
+path's source contract (:mod:`repro.iotdb.query`).
+
+:meth:`TVList.sort_in_place` is the one sort entry point, for the query
+path and the flush path alike, and both call it under the shard lock.  It
+sorts only the points that arrived since the last sort: the unsorted
+suffix has its duplicates collapsed in arrival order
+(:func:`dedupe_arrival`), is sorted by the configured
+:class:`~repro.core.sorter.Sorter`, and is backward-merged into the sorted
+prefix (:func:`merge_fresh_suffix`).  Under delay-only arrival the merge
+touches only the prefix tail the suffix reaches back into, which
+Proposition 4 bounds.  So a tail query sorts what arrived since the previous
+one, and the flush inherits the query's work.  When the prefix is shorter
+than the suffix, the whole list is sorted as one.  The sort materialises
+only the affected slice into flat arrays and writes it back.  IoTDB sorts
 in place over the backing arrays through the same index arithmetic; the
-flatten/write-back here costs the same for every algorithm, so relative
+flatten/write-back cost is the same for every algorithm, so relative
 comparisons are preserved (DESIGN.md §4).
 
 Column storage is pluggable per subclass: the base class backs both columns
@@ -29,18 +41,19 @@ column is one contiguous typed buffer per backing array.  Bulk operations —
 between the flat arrays and the backing arrays instead of decomposing every
 index through ``divmod``.  ``put_all`` is the only ingest routine:
 :meth:`TVList.put` is ``put_all`` of one point, so the sorted/min/max
-bookkeeping exists once.
-
-``get_sorted_arrays`` is the *query* path: it never mutates the list (IoTDB
-clones the working TVList for queries).  ``sort_in_place`` is the *flush*
-path.  Both report sort timing and operation counts.
+bookkeeping exists once.  A sorted list answers a range read with
+:meth:`TVList.cut_range`, which bisects the heads of the backing arrays and
+flattens only the in-range slice.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import ClassVar, Iterator
 
+from repro.core.backward_merge import merge_block_into_suffix
 from repro.core.instrumentation import SortStats, TimedResult
 from repro.core.sorter import Sorter
 from repro.errors import InvalidParameterError
@@ -73,7 +86,8 @@ class TVList:
         self._size = 0
         self._max_time_seen: int | None = None
         self._min_time_seen: int | None = None
-        self._sorted = True
+        #: ``[0, _sorted_upto)`` is strictly increasing.
+        self._sorted_upto = 0
 
     # -- backing-array storage --------------------------------------------
 
@@ -131,6 +145,7 @@ class TVList:
             return
         if not validated:
             self.validate_all(values)
+        was_sorted = self._sorted_upto == self._size
         tbuf = self._as_time_buffer(timestamps)
         vbuf = self._as_value_buffer(values)
         asize = self._array_size
@@ -145,17 +160,19 @@ class TVList:
             self._value_arrays[-1][offset : offset + take] = vbuf[pos : pos + take]
             self._size += take
             pos += take
-        if self._sorted:
-            # The list stays sorted only if the batch itself strictly
-            # increases and starts after everything seen so far.  ``prev``
-            # tracks the running max, which *is* the previous element while
-            # the scan stays strictly increasing.
+        if was_sorted:
+            # The sorted prefix takes the whole batch only if the batch
+            # strictly increases and starts after everything seen so far;
+            # otherwise it stays where it was.  ``prev`` tracks the running
+            # max, which *is* the previous element while the scan stays
+            # strictly increasing.
             prev = self._max_time_seen
             for t in timestamps:
                 if prev is not None and t <= prev:
-                    self._sorted = False
                     break
                 prev = t
+            else:
+                self._sorted_upto = self._size
         mn = min(timestamps)
         mx = max(timestamps)
         if self._max_time_seen is None or mx > self._max_time_seen:
@@ -173,9 +190,13 @@ class TVList:
 
     @property
     def is_sorted(self) -> bool:
-        """True when timestamps strictly increase in arrival order: no
-        append went back in time or repeated a timestamp."""
-        return self._sorted
+        """True when the timestamps strictly increase in list order."""
+        return self._sorted_upto == self._size
+
+    @property
+    def sorted_upto(self) -> int:
+        """Length of the strictly increasing prefix."""
+        return self._sorted_upto
 
     @property
     def max_time(self) -> int | None:
@@ -204,24 +225,57 @@ class TVList:
             yield self.get_time(i), self.get_value(i)
 
     def timestamps(self) -> list[int]:
-        """Flat copy of all timestamps in arrival order."""
-        out: list[int] = []
-        full, tail = divmod(self._size, self._array_size)
-        for arr in self._time_arrays[:full]:
-            out.extend(arr)
-        if tail:
-            out.extend(self._time_arrays[full][:tail])
-        return out
+        """Flat copy of all timestamps in list order."""
+        return self._flat(self._time_arrays, 0, self._size)
 
     def values(self) -> list:
-        """Flat copy of all values in arrival order."""
-        out: list = []
-        full, tail = divmod(self._size, self._array_size)
-        for arr in self._value_arrays[:full]:
+        """Flat copy of all values in list order."""
+        return self._flat(self._value_arrays, 0, self._size)
+
+    def _flat(self, arrays: list, lo: int, hi: int) -> list:
+        """Flat copy of slots ``[lo, hi)`` of one column's backing arrays."""
+        if lo >= hi:
+            return []
+        asize = self._array_size
+        first, a = divmod(lo, asize)
+        last, b = divmod(hi - 1, asize)
+        if first == last:
+            return list(arrays[first][a : b + 1])
+        out = list(arrays[first][a:])
+        for arr in arrays[first + 1 : last]:
             out.extend(arr)
-        if tail:
-            out.extend(self._value_arrays[full][:tail])
+        out.extend(arrays[last][: b + 1])
         return out
+
+    def _bisect(self, t: int, hi: int) -> int:
+        """First index in ``[0, hi)`` whose timestamp is ``>= t``, else
+        ``hi``; ``[0, hi)`` must be sorted.
+
+        Two binary searches: one over the heads of the backing arrays, one
+        inside the array whose head is the last below ``t``.
+        """
+        if hi == 0:
+            return 0
+        asize = self._array_size
+        arrays = self._time_arrays
+        index = bisect_left(arrays, t, 0, -(-hi // asize), key=itemgetter(0))
+        if index == 0:
+            return 0
+        base = (index - 1) * asize
+        return base + bisect_left(arrays[index - 1], t, 0, min(asize, hi - base))
+
+    def cut_range(self, start: int, end: int) -> tuple[list[int], list]:
+        """The points with ``start <= t < end`` of a *sorted* list.
+
+        The live memtable's range cut: it bisects the backing arrays and
+        flattens only the in-range slice.
+        """
+        lo = self._bisect(start, self._size)
+        hi = self._bisect(end, self._size)
+        return (
+            self._flat(self._time_arrays, lo, hi),
+            self._flat(self._value_arrays, lo, hi),
+        )
 
     def memory_slots(self) -> int:
         """Allocated slots (>= size): the deque trade-off made visible."""
@@ -229,47 +283,50 @@ class TVList:
 
     # -- sorting -----------------------------------------------------------
 
-    def get_sorted_arrays(
-        self, sorter: Sorter, *, obs=None, site: str = "query", series=None
-    ) -> tuple[list[int], list, TimedResult]:
-        """Query path: sorted copies of (times, values) without mutation.
-
-        The result is strictly increasing.  Already-sorted lists skip the
-        sort entirely (IoTDB checks the same flag); the returned
-        :class:`TimedResult` then reports zero cost.
-        ``obs``/``site``/``series`` flow through to :meth:`Sorter.timed_sort`
-        so the sort lands in the span tree and the per-sorter metrics, and a
-        block-size-caching sorter can key its cache by series.
-        """
-        ts = self.timestamps()
-        vs = self.values()
-        if self._sorted:
-            return ts, vs, TimedResult(seconds=0.0, stats=SortStats())
-        ts, vs = dedupe_arrival(ts, vs)
-        timed = sorter.timed_sort(ts, vs, obs=obs, site=site, series=series)
-        return ts, vs, timed
-
     def sort_in_place(
         self, sorter: Sorter, *, obs=None, site: str = "flush", series=None
     ) -> TimedResult:
-        """Flush path: sort the backing arrays, returning timing + counters.
+        """Sort the list in place, leaving it strictly increasing.
 
-        Duplicate timestamps are collapsed (last arrival wins) *before* the
-        sort, physically shrinking the list — see :func:`dedupe_arrival` for
-        why this must happen pre-sort.  ``series`` identifies the column for
-        sorters that cache state across consecutive sorts of the same series
+        The one sort entry point: the query executor (``site="query"``) and
+        the flush (``site="flush"``) both call it under the shard lock, so
+        the flush inherits whatever a query already sorted.  An already
+        sorted list costs nothing (IoTDB checks the same flag).
+
+        When the sorted prefix ``[0, k)`` holds at least half the list, only
+        the suffix ``[k, n)`` that arrived since is deduplicated and sorted,
+        then merged into the prefix from ``w``, the first prefix point not
+        below the suffix minimum (:func:`merge_fresh_suffix`); only
+        ``[w, n)`` is flattened and written back.  Otherwise the whole list
+        is deduplicated and sorted as one.  Either way duplicate timestamps
+        collapse, the last arrival winning, and the list shrinks — see
+        :func:`dedupe_arrival` for why that happens before the sort.
+
+        The returned ``seconds`` time the sorter; its ``stats`` also count
+        the merge.  ``obs``/``site``/``series`` flow through to
+        :meth:`Sorter.timed_sort`, so the sort lands in the span tree and the
+        per-sorter metrics, and a sorter that caches state per series
         (:class:`~repro.core.backward_sort.BackwardSorter`'s block-size
-        cache).
+        cache) can key it.
         """
-        if self._sorted:
+        n = self._size
+        k = self._sorted_upto
+        if k == n:
             return TimedResult(seconds=0.0, stats=SortStats())
-        ts = self.timestamps()
-        vs = self.values()
-        ts, vs = dedupe_arrival(ts, vs)
+        if 2 * k < n:
+            k = 0
+        ts, vs = dedupe_arrival(
+            self._flat(self._time_arrays, k, n), self._flat(self._value_arrays, k, n)
+        )
         timed = sorter.timed_sort(ts, vs, obs=obs, site=site, series=series)
-        self._shrink_to(len(ts))
-        self._write_back(ts, vs)
-        self._sorted = True
+        w = self._bisect(ts[0], k)
+        if w < k:
+            ts = self._flat(self._time_arrays, w, k) + ts
+            vs = self._flat(self._value_arrays, w, k) + vs
+            merge_fresh_suffix(ts, vs, k - w, timed.stats)
+        self._shrink_to(w + len(ts))
+        self._write_back(ts, vs, w)
+        self._sorted_upto = self._size
         return timed
 
     def _shrink_to(self, size: int) -> None:
@@ -280,8 +337,8 @@ class TVList:
         del self._time_arrays[arrays:]
         del self._value_arrays[arrays:]
 
-    def _write_back(self, ts: list[int], vs: list) -> None:
-        """Copy the flat sorted arrays back over the backing arrays.
+    def _write_back(self, ts: list[int], vs: list, start: int) -> None:
+        """Copy the flat sorted arrays over slots ``[start, len)``.
 
         Whole-array slice assignment instead of a per-element ``divmod``
         loop: each backing array receives its span of the flat arrays in
@@ -290,13 +347,15 @@ class TVList:
         tbuf = self._as_time_buffer(ts)
         vbuf = self._as_value_buffer(vs)
         asize = self._array_size
-        for index in range(len(self._time_arrays)):
-            lo = index * asize
-            hi = min(lo + asize, self._size)
-            if lo >= hi:
-                break
-            self._time_arrays[index][0 : hi - lo] = tbuf[lo:hi]
-            self._value_arrays[index][0 : hi - lo] = vbuf[lo:hi]
+        index, offset = divmod(start, asize)
+        pos = 0
+        while pos < len(tbuf):
+            take = min(asize - offset, len(tbuf) - pos)
+            self._time_arrays[index][offset : offset + take] = tbuf[pos : pos + take]
+            self._value_arrays[index][offset : offset + take] = vbuf[pos : pos + take]
+            pos += take
+            index += 1
+            offset = 0
 
 
 def dedupe_arrival(ts: list[int], vs: list) -> tuple[list[int], list]:
@@ -316,3 +375,29 @@ def dedupe_arrival(ts: list[int], vs: list) -> tuple[list[int], list]:
         return ts, vs
     keep = sorted(last.values())  # repro: allow(stats-accounting): O(k log k) dedupe index sort, not a point sort
     return [ts[i] for i in keep], [vs[i] for i in keep]  # repro: allow(parallel-arrays): dedupe, not a sort
+
+
+def merge_fresh_suffix(ts: list[int], vs: list, split: int, stats: SortStats) -> None:
+    """Merge the fresher ``ts[split:]`` into ``ts[:split]`` in place, last
+    write wins.
+
+    Both halves must be strictly increasing, and every point of the second
+    must have arrived after every point of the first: the points since a
+    TVList's last sort, merged into its sorted prefix.  Backward-Sort's own
+    backward merge (:func:`~repro.core.backward_merge.merge_block_into_suffix`)
+    interleaves them.  It is stable, so a timestamp on both sides comes out
+    as the older point directly followed by the fresher one.  Such pairs
+    sit at or below the old maximum ``ts[split - 1]``, so only that head is
+    scanned, and the older point of each pair is dropped.  Comparisons and
+    moves are counted into ``stats``.
+    """
+    old_max = ts[split - 1]
+    merge_block_into_suffix(ts, vs, 0, split, stats)
+    head = bisect_right(ts, old_max)
+    stale = {i for i in range(head - 1) if ts[i] == ts[i + 1]}
+    stats.comparisons += max(head.bit_length(), 1) + max(head - 1, 0)
+    if stale:
+        keep = [i for i in range(head) if i not in stale]
+        ts[:head] = [ts[i] for i in keep]
+        vs[:head] = [vs[i] for i in keep]
+        stats.moves += len(ts)  # the kept head, and the tail shifted after it

@@ -206,6 +206,8 @@ def backward_sort_tvlist_inplace(
                 _quicksort(acc, bounds[b], bounds[b + 1], stats)
             for b in range(len(bounds) - 2, 0, -1):
                 _merge_block(acc, bounds[b - 1], bounds[b], stats)
-        # The flag promises *strictly* increasing; this sort keeps duplicates.
-        tvlist._sorted = all(acc.time(i) != acc.time(i + 1) for i in range(n - 1))
+        # The sorted prefix promises *strictly* increasing; this sort keeps
+        # duplicates, so the list counts as sorted only when it has none.
+        strict = all(acc.time(i) != acc.time(i + 1) for i in range(n - 1))
+        tvlist._sorted_upto = n if strict else 0
     return TimedResult(seconds=_time.perf_counter() - start, stats=stats)

@@ -32,6 +32,7 @@ def test_collect_is_deterministic():
     path_cells = {"ingest/path=point", "ingest/path=batch"}
     flush_cells = {"flush/lcache=on", "flush/lcache=off"}
     backend_cells = {"ingest/backend=local"}
+    tail_cells = {"query/live-tail"}
     assert set(first["cells"]) == (
         sorter_cells
         | ingest_cells
@@ -39,6 +40,7 @@ def test_collect_is_deterministic():
         | path_cells
         | flush_cells
         | backend_cells
+        | tail_cells
     )
     for name in sorter_cells:
         cell = first["cells"][name]
@@ -56,6 +58,9 @@ def test_collect_is_deterministic():
     for name in backend_cells:
         cell = first["cells"][name]
         assert cell["wal_bytes"] > 0 and cell["sealed_bytes"] > 0
+    for name in tail_cells:
+        cell = first["cells"][name]
+        assert 0 < cell["single_sort_ops"] <= cell["query_sort_ops"]
 
 
 def test_sharded_ingest_critical_path_never_exceeds_unsharded():
@@ -133,6 +138,19 @@ def test_invariant_catches_a_non_pruning_index():
     assert "strictly fewer" in problems[0]
     # And the full checker surfaces it even when every ratio is in budget.
     assert check_baseline(current, current, max_ratio=2.0) == problems
+
+
+def test_invariant_catches_tail_queries_that_resort_the_list():
+    # Re-sorting the whole live list on every tail query costs ~40x one
+    # sort of the stream on this cell.
+    current = {
+        "cells": {
+            "query/live-tail": {"query_sort_ops": 929_091, "single_sort_ops": 23_331}
+        }
+    }
+    problems = check_invariants(current)
+    assert len(problems) == 1
+    assert "arrived since the last one" in problems[0]
 
 
 def test_committed_baseline_matches_the_current_tree():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -114,9 +116,7 @@ class TestQueryExecutor:
         memtable = MemTable(IoTDBConfig())
         memtable.write_batch("d", "s", [3, 5, 4], [3.0, 5.0, 4.0])
         result = executor.execute(
-            "d", "s", 0, 10,
-            seq_files=[(None, reader)], unseq_files=[],
-            flushing_memtables=[], working_memtable=memtable,
+            "d", "s", 0, 10, files=[(None, reader)], memtables=[memtable]
         )
         assert result.timestamps == [0, 1, 2, 3, 4, 5]
         assert result.values == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
@@ -132,8 +132,7 @@ class TestQueryExecutor:
         working.write_batch("d", "s", [5], [4.0])
         result = executor.execute(
             "d", "s", 0, 10,
-            seq_files=[(None, seq)], unseq_files=[(None, unseq)],
-            flushing_memtables=[flushing], working_memtable=working,
+            files=[(None, seq), (None, unseq)], memtables=[flushing, working],
         )
         assert result.values == [4.0]
 
@@ -141,11 +140,7 @@ class TestQueryExecutor:
         executor = TimeRangeQueryExecutor(get_sorter("backward"))
         memtable = MemTable(IoTDBConfig())
         memtable.write_batch("d", "s", [1, 50, 99], [1.0, 50.0, 99.0])
-        result = executor.execute(
-            "d", "s", 40, 60,
-            seq_files=[], unseq_files=[],
-            flushing_memtables=[], working_memtable=memtable,
-        )
+        result = executor.execute("d", "s", 40, 60, memtables=[memtable])
         assert result.timestamps == [50]
 
     def test_memtable_missing_the_range_is_not_a_source(self):
@@ -164,21 +159,13 @@ class TestQueryExecutor:
     def test_rejects_empty_range(self):
         executor = TimeRangeQueryExecutor(get_sorter("backward"))
         with pytest.raises(QueryError):
-            executor.execute(
-                "d", "s", 5, 5,
-                seq_files=[], unseq_files=[],
-                flushing_memtables=[], working_memtable=None,
-            )
+            executor.execute("d", "s", 5, 5)
 
     def test_stats_scanned_vs_returned(self):
         executor = TimeRangeQueryExecutor(get_sorter("backward"))
         memtable = MemTable(IoTDBConfig())
         memtable.write_batch("d", "s", list(range(100)), [float(i) for i in range(100)])
-        result = executor.execute(
-            "d", "s", 10, 20,
-            seq_files=[], unseq_files=[],
-            flushing_memtables=[], working_memtable=memtable,
-        )
+        result = executor.execute("d", "s", 10, 20, memtables=[memtable])
         assert result.stats.points_scanned == 100
         assert result.stats.points_returned == 10
         assert result.stats.total_seconds > 0
@@ -210,6 +197,111 @@ class TestQueryExecutor:
         stats = engine.query("d", "s", 50, 150).stats
         assert stats.points_scanned == 200
         assert stats.points_returned == 100
+
+
+def _tail_query_run(sorter: str, tail_queries: bool):
+    """Four devices of delayed points in batches of 50, with rewrites of
+    old and latest timestamps mixed in; optionally one tail query after
+    every ``write_batch``.  Returns the tail answers, the number of
+    backward merges they made, the full-range answers after ``flush_all``
+    and the sealed TsFiles' bytes."""
+    engine = StorageEngine.create(
+        IoTDBConfig(memtable_flush_threshold=700, sorter=sorter)
+    )
+    rng = random.Random(7)
+    streams = {f"d{i}": make_delayed_stream(1_200, seed=i) for i in range(4)}
+    latest = dict.fromkeys(streams, 0)
+    tails = []
+    merges = 0
+    for at in range(0, 1_200, 50):
+        for device, stream in streams.items():
+            ts = list(stream.timestamps[at : at + 50])
+            if rng.random() < 0.3:  # rewrite a few earlier timestamps
+                ts[:3] = rng.sample(stream.timestamps[: at + 50], 3)
+            if rng.random() < 0.3:  # rewrite the latest one
+                ts[-1] = latest[device] or ts[-1]
+            engine.write_batch(device, "s", ts, [float(rng.random()) for _ in ts])
+            latest[device] = max(latest[device], *ts)
+            if tail_queries:
+                result = engine.query(device, "s", latest[device] - 200, latest[device] + 1)
+                tails.append((result.timestamps, result.values))
+                merges += result.stats.sort_stats.merges
+    engine.flush_all()
+    answers = [
+        (r.timestamps, r.values)
+        for r in (engine.query(device, "s", 0, 10**9) for device in streams)
+    ]
+    store = engine.store
+    sealed = {key: store.get(key) for key in store.list("") if key.endswith(".tsfile")}
+    return tails, merges, answers, sealed
+
+
+class TestInPlaceQuerySort:
+    """A query sorts the live TVList in place, under the shard lock, and
+    the flush inherits it: answers and sealed bytes must be the ones a
+    query-free run gives, and racing threads must see consistent lists."""
+
+    @pytest.mark.parametrize("sorter", ["backward", "quick", "tim"])
+    def test_tail_queries_change_no_answer_and_no_sealed_byte(self, sorter):
+        tails, merges, answers, sealed = _tail_query_run(sorter, tail_queries=True)
+        _, _, quiet_answers, quiet_sealed = _tail_query_run(sorter, tail_queries=False)
+        assert len(tails) == 96 and all(ts for ts, _ in tails)
+        assert merges > 0  # the queries sorted suffixes into sorted prefixes
+        assert answers == quiet_answers
+        assert sealed and sealed == quiet_sealed
+
+    def test_queries_racing_writers_and_flushes(self):
+        # Two writers and two tail readers on one shard, more threads than
+        # cores and a tiny switch interval: every in-place sort, write and
+        # flush of a live TVList runs under the shard lock, so each answer
+        # is strictly increasing with each value equal to its timestamp,
+        # and nothing written is lost.
+        engine = StorageEngine.create(IoTDBConfig(memtable_flush_threshold=300))
+        streams = {f"d{i}": make_delayed_stream(4_000, seed=i) for i in range(2)}
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def write(device):
+            ts = streams[device].timestamps
+            for at in range(0, len(ts), 25):
+                batch = ts[at : at + 25]
+                engine.write_batch(device, "s", batch, [float(t) for t in batch])
+
+        def read(seed):
+            rng = random.Random(seed)
+            while not done.is_set():
+                device = rng.choice(sorted(streams))
+                result = engine.query(device, "s", rng.randrange(4_000), 10**6)
+                ts = result.timestamps
+                assert all(a < b for a, b in zip(ts, ts[1:]))
+                assert result.values == [float(t) for t in ts]
+
+        def guarded(fn, arg):
+            try:
+                fn(arg)
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+                done.set()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=guarded, args=(read, s)) for s in (1, 2)]
+            writers = [threading.Thread(target=guarded, args=(write, d)) for d in streams]
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in readers + writers)
+        assert errors == []
+        for device, stream in streams.items():
+            expected = sorted(set(stream.timestamps))
+            assert engine.query(device, "s", 0, 10**9).timestamps == expected
 
 
 @st.composite

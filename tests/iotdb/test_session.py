@@ -52,6 +52,13 @@ class TestParsing:
         parsed = parse("select avg(v) from d.s where time < 60 group by (10)")
         assert parsed.group_window == 10
 
+    def test_repeated_current_upper_bounds_intersect(self):
+        for where in (
+            "time < current - 10 and time <= current - 3",
+            "time <= current - 3 and time < current - 10",
+        ):
+            assert parse(f"select * from d.s where {where}").end_is_current_minus == 10
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -94,6 +101,28 @@ class TestExecution:
             "select count(*) from root.sg.d1.s1 where time < 40 group by (10)"
         )
         assert rows == [(0, 10), (10, 10), (20, 10), (30, 10)]
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "time > current - 5 and time > current - 10",
+            "time > current - 10 and time > current - 5",
+        ],
+    )
+    def test_repeated_current_predicates_intersect(self, session, where):
+        assert session.execute(f"select count(*) from root.sg.d1.s1 where {where}") == 5
+
+    def test_group_by_without_upper_bound_ends_at_current(self, session):
+        # The paper's statement shape: the range is checked before anything
+        # is bucketed, so a regression fails here instead of building
+        # 2**62 / 5 windows.
+        parsed = parse(
+            "select count(*) from root.sg.d1.s1 where time > current - 10 group by (5)"
+        )
+        assert session._resolve_range(parsed) == (90, 100)
+        assert session.execute(
+            "select count(*) from root.sg.d1.s1 where time > current - 10 group by (5)"
+        ) == [(90, 5), (95, 5)]
 
     def test_current_on_empty_column(self, session):
         with pytest.raises(QueryError):

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import InvalidParameterError
 from repro.iotdb import (
     BooleanTVList,
     DoubleTVList,
     IntTVList,
+    IoTDBConfig,
     LongTVList,
+    MemTable,
     TSDataType,
     TextTVList,
     TVList,
@@ -17,7 +20,8 @@ from repro.iotdb import (
     infer_dtype,
     tvlist_for,
 )
-from repro.sorting import get_sorter
+from repro.iotdb.query import TimeRangeQueryExecutor
+from repro.sorting import available_sorters, get_sorter
 from tests.conftest import make_delayed_stream
 
 
@@ -78,15 +82,16 @@ class TestSortedTracking:
 
     def test_in_order_rewrite_is_not_sorted(self):
         # ``is_sorted`` means strictly increasing: repeating the latest
-        # timestamp clears it, so the rewrite is resolved by the same
-        # arrival-order dedupe + sort as an out-of-order write.
+        # timestamp leaves the sorted prefix behind, so the query's in-place
+        # sort resolves the rewrite like an out-of-order write.
         tv = TVList()
         for t, v in ((1, "a"), (2, "b"), (2, "c"), (5, "d")):
             tv.put(t, v)
         assert not tv.is_sorted
         assert tv.max_time == 5
-        ts, vs, _ = tv.get_sorted_arrays(get_sorter("backward"))
-        assert (ts, vs) == ([1, 2, 5], ["a", "c", "d"])
+        tv.sort_in_place(get_sorter("backward"), site="query")
+        assert tv.is_sorted
+        assert (tv.timestamps(), tv.values()) == ([1, 2, 5], ["a", "c", "d"])
 
     def test_rewrite_inside_one_batch_is_not_sorted(self):
         tv = TVList()
@@ -128,16 +133,6 @@ class TestSortedTracking:
         assert timed.seconds == 0.0
         assert timed.stats.comparisons == 0
 
-    def test_get_sorted_arrays_does_not_mutate(self):
-        stream = make_delayed_stream(200, seed=2)
-        tv = TVList()
-        for t, v in zip(stream.timestamps, stream.values):
-            tv.put(t, v)
-        ts, vs, timed = tv.get_sorted_arrays(get_sorter("tim"))
-        assert ts == sorted(stream.timestamps)
-        assert tv.timestamps() == stream.timestamps  # untouched
-        assert not tv.is_sorted
-
     def test_values_follow_timestamps_through_sort(self):
         tv = TVList(array_size=2)
         tv.put(3, "three")
@@ -176,14 +171,23 @@ class TestDedupeArrival:
         assert tv.timestamps() == list(range(50))
         assert tv.values() == [t + 50 for t in range(50)]
 
-    def test_get_sorted_arrays_resolves_overwrites_without_mutation(self):
+    def test_sort_in_place_resolves_prefix_overwrites(self):
+        # The first pass is sorted (by a query); the second pass rewrites
+        # every timestamp of that prefix, so the suffix sort and the merge
+        # must drop each prefix copy in favour of the fresher point.
         tv = TVList()
-        for i, t in enumerate(list(range(50)) + list(range(50))):
+        for i, t in enumerate(range(50)):
             tv.put(t, i)
-        ts, vs, _ = tv.get_sorted_arrays(get_sorter("backward"))
-        assert ts == list(range(50))
-        assert vs == [t + 50 for t in range(50)]
-        assert len(tv) == 100  # query path never mutates
+        tv.put(0, "late")  # leaves the 50-point prefix unsorted behind it
+        tv.sort_in_place(get_sorter("backward"), site="query")
+        assert tv.sorted_upto == 50
+        tv.put_all(list(range(50)), [t + 50 for t in range(50)])
+        assert tv.sorted_upto == 50
+        timed = tv.sort_in_place(get_sorter("backward"), site="query")
+        assert tv.timestamps() == list(range(50))
+        assert tv.values() == [t + 50 for t in range(50)]
+        assert len(tv) == 50  # the query collapsed the duplicates in place
+        assert timed.stats.merges == 1
 
     def test_shrink_drops_surplus_backing_arrays(self):
         tv = TVList(array_size=4)
@@ -193,6 +197,149 @@ class TestDedupeArrival:
         assert len(tv) == 2
         assert (tv.timestamps(), tv.values()) == ([3, 5], [7, 8])
         assert tv.memory_slots() == 4  # three backing arrays trimmed to one
+
+
+class TestSortedPrefix:
+    def test_prefix_grows_by_whole_batches_only(self):
+        tv = TVList()
+        tv.put_all((1, 2, 3), "abc")
+        assert tv.sorted_upto == 3
+        # In order up to 6, then late: the in-order run inside the batch
+        # does not join the prefix.
+        tv.put_all((4, 5, 6, 0), "defg")
+        assert tv.sorted_upto == 3
+        # A strictly increasing batch behind an unsorted suffix cannot
+        # join it either.
+        tv.put_all((7, 8), "hi")
+        assert tv.sorted_upto == 3
+        tv.sort_in_place(get_sorter("quick"), site="query")
+        assert tv.sorted_upto == len(tv) == 9
+        tv.put_all((9, 10), "jk")
+        assert tv.is_sorted and tv.sorted_upto == 11
+
+    def test_short_prefix_sorts_the_whole_list(self):
+        # A prefix shorter than the suffix is not worth merging into.
+        tv = TVList()
+        tv.put_all((1, 2), "ab")
+        tv.put_all((9, 3, 8, 4, 7), "cdefg")
+        timed = tv.sort_in_place(get_sorter("backward"))
+        assert timed.stats.merges == 0
+        assert tv.timestamps() == [1, 2, 3, 4, 7, 8, 9]
+        assert tv.values() == list("abdfgec")
+
+    def test_query_sorts_only_what_arrived_since(self):
+        # Sorted once, then one late batch: the second sort hands the
+        # sorter the batch alone and merges from the first prefix point it
+        # reaches back into, so the flush that follows has nothing to do.
+        tv = TVList(array_size=4)
+        tv.put_all(list(range(0, 400, 2)), list(range(200)))
+        tv.put_all((401, 395, 399, 397), "abcd")
+        calls = []
+
+        class Recording:
+            def timed_sort(self, ts, vs, **kwargs):
+                calls.append(list(ts))
+                return get_sorter("backward").timed_sort(ts, vs, **kwargs)
+
+        tv.sort_in_place(Recording(), site="query")
+        assert calls == [[401, 395, 399, 397]]
+        assert tv.timestamps()[-4:] == [397, 398, 399, 401]
+        assert tv.is_sorted
+        assert tv.sort_in_place(Recording(), site="flush").stats.comparisons == 0
+        assert len(calls) == 1
+
+    def test_cut_range_bisects_the_backing_arrays(self):
+        tv = TVList(array_size=3)
+        tv.put_all(list(range(0, 40, 2)), list(range(20)))
+        assert tv.cut_range(5, 11) == ([6, 8, 10], [3, 4, 5])
+        assert tv.cut_range(-10, 1) == ([0], [0])
+        assert tv.cut_range(38, 100) == ([38], [19])
+        assert tv.cut_range(39, 100) == ([], [])
+        assert tv.cut_range(-10, 0) == ([], [])
+
+
+_BATCH_KINDS = ("in-order", "late", "in-batch-dups", "rewrite-prefix", "rewrite-latest")
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.sampled_from(_BATCH_KINDS),
+            st.lists(st.integers(0, 40), min_size=1, max_size=12),
+        ),
+        st.tuples(st.just("read"), st.integers(-5, 150), st.integers(1, 80)),
+        st.tuples(st.just("sort")),
+    ),
+    max_size=30,
+)
+
+
+def _batch_times(kind: str, draws: list[int], model: dict) -> list[int]:
+    """Interpret one drawn batch against the model's current contents."""
+    top = max(model, default=40)
+    if kind == "in-order":  # strictly increasing past everything seen
+        out, t = [], max(model, default=-1)
+        for gap in draws:
+            t += 1 + gap
+            out.append(t)
+        return out
+    if kind == "late":  # back in time, the latest timestamp included
+        return [max(0, top - d) for d in draws]
+    if kind == "in-batch-dups":
+        return [max(0, top - d % 4) for d in draws]
+    if kind == "rewrite-prefix":
+        keys = sorted(model) or [0]
+        return [keys[d % len(keys)] for d in draws]
+    # rewrite-latest: in order, but starting at the latest timestamp
+    return [top] + [top + 1 + i + d for i, d in enumerate(sorted(draws))]
+
+
+def _assert_strictly_increasing(tv) -> None:
+    ts = tv.timestamps()
+    assert all(a < b for a, b in zip(ts, ts[1:]))
+    assert tv.is_sorted and tv.sorted_upto == len(tv)
+
+
+class TestSortInPlaceProperty:
+    """Interleaved batches, executor range reads and in-place sorts agree
+    with a last-arrival-wins dict for every sorter, width and column type."""
+
+    @pytest.mark.parametrize("text", [False, True], ids=["typed", "text"])
+    @pytest.mark.parametrize("array_size", [1, 2, 32])
+    @pytest.mark.parametrize("sorter_name", available_sorters())
+    @settings(max_examples=25, deadline=None)
+    @given(ops=_OPS)
+    def test_matches_last_arrival_wins_model(self, sorter_name, array_size, text, ops):
+        sorter = get_sorter(sorter_name)
+        memtable = MemTable(
+            IoTDBConfig(array_size=array_size, memtable_flush_threshold=10**9)
+        )
+        executor = TimeRangeQueryExecutor(sorter)
+        model: dict[int, object] = {}
+        arrivals = 0
+        for op in ops:
+            if op[0] == "put":
+                ts = _batch_times(op[1], op[2], model)
+                vs = []
+                for t in ts:
+                    arrivals += 1
+                    vs.append(f"v{arrivals}" if text else float(arrivals))
+                memtable.write_batch("d", "s", ts, vs)
+                model.update(zip(ts, vs))
+                continue
+            tv = memtable.chunk("d", "s")
+            if op[0] == "read":
+                start, end = op[1], op[1] + op[2]
+                result = executor.execute("d", "s", start, end, memtables=[memtable])
+                keys = [t for t in sorted(model) if start <= t < end]
+                assert result.timestamps == keys
+                assert result.values == [model[t] for t in keys]
+            elif tv is not None:
+                tv.sort_in_place(sorter, series="d.s")
+            if tv is not None:
+                _assert_strictly_increasing(tv)
+                assert tv.timestamps() == sorted(model)
+                assert tv.values() == [model[t] for t in sorted(model)]
 
 
 class TestTypedTVLists:
