@@ -27,7 +27,9 @@ def test_tvlist_array_size_ingest(benchmark, array_size):
 
     def run():
         memtable = MemTable(config)
-        memtable.write_batch("d", "s", stream.timestamps, stream.values)
+        memtable.write_batch(
+            "d", "s", stream.timestamps, stream.values, dtype=TSDataType.DOUBLE
+        )
         return memtable
 
     memtable = benchmark(run)
@@ -43,7 +45,9 @@ def test_tvlist_array_size_flush(benchmark, array_size):
 
     def setup():
         memtable = MemTable(config)
-        memtable.write_batch("d", "s", stream.timestamps, stream.values)
+        memtable.write_batch(
+            "d", "s", stream.timestamps, stream.values, dtype=TSDataType.DOUBLE
+        )
         memtable.mark_flushing()
         return (memtable,), {}
 
@@ -83,7 +87,9 @@ def test_page_compression_flush(benchmark, compression):
 
     def setup():
         memtable = MemTable(config)
-        memtable.write_batch("d", "s", stream.timestamps, stream.values)
+        memtable.write_batch(
+            "d", "s", stream.timestamps, stream.values, dtype=TSDataType.DOUBLE
+        )
         memtable.mark_flushing()
         return (memtable,), {}
 
@@ -107,7 +113,9 @@ def test_tvlist_sort_strategy(benchmark, strategy):
 
     def setup():
         memtable = MemTable(IoTDBConfig(memtable_flush_threshold=_N + 1))
-        memtable.write_batch("d", "s", stream.timestamps, stream.values)
+        memtable.write_batch(
+            "d", "s", stream.timestamps, stream.values, dtype=TSDataType.DOUBLE
+        )
         return (memtable.chunk("d", "s"),), {}
 
     if strategy == "flatten":

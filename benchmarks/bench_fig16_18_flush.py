@@ -14,6 +14,7 @@ import io
 import pytest
 
 from repro.iotdb import IoTDBConfig, MemTable, TsFileWriter, flush_memtable
+from repro.iotdb.config import TSDataType
 from repro.sorting import PAPER_ALGORITHMS, get_sorter
 from repro.workloads import load_dataset
 
@@ -29,7 +30,9 @@ def _fresh_memtable(dataset):
 
     def _setup():
         memtable = MemTable(config)
-        memtable.write_batch("root.d1", "s1", stream.timestamps, stream.values)
+        memtable.write_batch(
+            "root.d1", "s1", stream.timestamps, stream.values, dtype=TSDataType.DOUBLE
+        )
         memtable.mark_flushing()
         return (memtable,), {}
 

@@ -50,6 +50,12 @@ DEFAULT_MAX_RATIO = 2.0
 INGEST_SHARD_COUNTS = (1, 4)
 #: Devices of the ingest workload (spread over the shards by the router).
 INGEST_DEVICES = 8
+#: Ceiling on the batched ingest run's WAL bytes: a column frame costs 8
+#: bytes per numeric value, at most 8 per deflated timestamp, and about 30
+#: bytes plus the two names per frame (one flush each); the JSON frames it
+#: replaced cost ~54 bytes per point.
+WAL_BYTES_PER_POINT = 16
+WAL_BYTES_PER_FRAME = 64
 
 
 def _ingest_workload(n: int, seed: int):
@@ -427,7 +433,8 @@ def check_invariants(current: dict) -> list[str]:
     Each one asserts that an optimisation actually wins on its target
     workload, not merely that it doesn't regress: the interval index must
     open strictly fewer files, the batch ingest path must do strictly less
-    WAL work than the point path, the block-size cache must save
+    WAL work than the point path and log no more than a binary column frame
+    costs, the block-size cache must save
     flush-sort ops on a steady stream, and tail queries must not re-sort
     what an earlier query already sorted.
     """
@@ -450,6 +457,17 @@ def check_invariants(current: dict) -> list[str]:
             f"path=point did {_total(point)}: the batch path must do strictly "
             "less"
         )
+    if batched is not None:
+        points = current.get("n", 0)
+        ceiling = WAL_BYTES_PER_POINT * points + WAL_BYTES_PER_FRAME * batched["flushes"]
+        if batched["bytes_appended"] > ceiling:
+            problems.append(
+                f"ingest/path=batch appended {batched['bytes_appended']} WAL "
+                f"bytes for {points} points in {batched['flushes']} frames, "
+                f"over the {ceiling} a column frame costs "
+                f"({WAL_BYTES_PER_POINT} per point + {WAL_BYTES_PER_FRAME} per "
+                "frame): the WAL is no longer binary"
+            )
 
     cache_on = cells.get("flush/lcache=on")
     cache_off = cells.get("flush/lcache=off")

@@ -10,14 +10,15 @@ devices proceed concurrently and a series always lands in the same shard
 across restarts.
 
 Write path (§V): the batch is the unit of work (``write`` is
-``write_batch`` of one).  Each point of a batch is routed by its shard's
-separation policy to the sequence or unsequence *working* memtable; the
-whole batch is validated, then logged to the WAL (when enabled), then
-applied — all or nothing.  When a memtable crosses the flush threshold it
-transitions to *flushing*, is sorted chunk-by-chunk with the configured
-sorter, encoded, and sealed into an immutable TsFile under the shard's
-``shard-NN/`` key prefix of the engine's
-:class:`~repro.iotdb.backends.BlobStore`.
+``write_batch`` of one).  The whole batch is validated against its
+column's type, split by its shard's separation policy into the part for
+the sequence and the part for the unsequence *working* memtable (one
+watermark compare per batch), then logged to the WAL as one binary column
+frame per part (when enabled), then applied — all or nothing.  When a
+memtable crosses the flush threshold it transitions to *flushing*, is
+sorted chunk-by-chunk with the configured sorter, encoded, and sealed into
+an immutable TsFile under the shard's ``shard-NN/`` key prefix of the
+engine's :class:`~repro.iotdb.backends.BlobStore`.
 
 Query path: a time-range query is answered by the single shard that owns
 the device (series-hash routing makes the per-shard merge degenerate); the

@@ -7,10 +7,10 @@ count crosses the flush threshold the engine transitions it from WORKING to
 FLUSHING (no further writes accepted) and hands it to the flush pipeline.
 
 The batch is the only unit of work: :meth:`MemTable.write_batch` is the one
-write entry point (a single point is a batch of one), and the validation it
-performs is also exposed on its own (:func:`check_timestamps`,
-:meth:`MemTable.check_values`) so the shard can reject a bad batch before
-anything is logged.
+write entry point (a single point is a batch of one).  Its timestamp check
+is also exposed on its own (:func:`check_timestamps`) and its value check
+is the column type's :meth:`TVList.validate_all`, so the shard can reject a
+bad batch before anything is logged.
 """
 
 from __future__ import annotations
@@ -22,17 +22,32 @@ from repro.analysis.concurrency import apply_guards, create_lock
 from repro.errors import InvalidParameterError, MemTableFlushedError
 from repro.iotdb.config import IoTDBConfig, TSDataType
 from repro.iotdb.tvlist import TVList
-from repro.iotdb.typed_tvlists import infer_dtype, tvlist_for
+from repro.iotdb.typed_tvlists import tvlist_for
 from repro.obs import NOOP, Observability
+
+_TIME_MIN, _TIME_MAX = -(2**63), 2**63 - 1
+_INT_ONLY = frozenset({int})
 
 
 def check_timestamps(timestamps) -> None:
-    """Reject the whole batch unless every timestamp is a (non-bool) int."""
+    """Reject the whole batch unless every timestamp is a (non-bool) int
+    that fits the int64 time column.
+
+    A batch of plain ints inside the range passes on a few C-level scans;
+    anything else is judged timestamp by timestamp.
+    """
+    if {*map(type, timestamps)} <= _INT_ONLY and (
+        not timestamps
+        or _TIME_MIN <= min(timestamps) and max(timestamps) <= _TIME_MAX
+    ):
+        return
     for timestamp in timestamps:
         if not isinstance(timestamp, int) or isinstance(timestamp, bool):
             raise InvalidParameterError(
                 f"timestamp must be int, got {type(timestamp).__name__}"
             )
+        if not _TIME_MIN <= timestamp <= _TIME_MAX:
+            raise InvalidParameterError(f"timestamp {timestamp} out of int64 range")
 
 
 class MemTableState(Enum):
@@ -44,9 +59,11 @@ class MemTableState(Enum):
 class MemTable:
     """One generation of in-memory data for a storage group.
 
-    Schema is per-column and sticky: the first value written to a
-    (device, sensor) pins its :class:`TSDataType`; later writes of another
-    type are rejected at ingestion (the typed-TVList validation of §V-A).
+    Each (device, sensor) column is one typed TVList, and later writes of
+    another type are rejected at ingestion (the typed-TVList validation of
+    §V-A).  The memtable never decides a column's type: the owning shard
+    pins it across memtables (:meth:`StorageShard._column_type`) and
+    passes it in as ``write_batch(dtype=...)``.
 
     Concurrency discipline: ``_lock`` serialises writes and state
     transitions; the lock sits *below* the engine lock in the global order
@@ -74,21 +91,15 @@ class MemTable:
 
     # -- writes ------------------------------------------------------------
 
-    def check_values(self, device: str, sensor: str, values) -> None:
-        """Reject ``values`` unless the column's typed TVList would take
-        every one (the column's pinned type, else the type its first value
-        would pin).  Mutates nothing: the shard runs this over a whole
-        batch *before* logging it, so a rejected write never reaches the
-        WAL, then applies with ``write_batch(..., validated=True)``.
-        """
-        with self._lock:
-            tvlist = self._chunks.get((device, sensor))
-        if tvlist is None:
-            tvlist = tvlist_for(infer_dtype(values[0]))
-        tvlist.validate_all(values)
-
     def write_batch(
-        self, device: str, sensor: str, timestamps, values, *, validated: bool = False
+        self,
+        device: str,
+        sensor: str,
+        timestamps,
+        values,
+        *,
+        dtype: TSDataType,
+        validated: bool = False,
     ) -> None:
         """Ingest a whole batch atomically: all points land, or none do.
 
@@ -101,9 +112,13 @@ class MemTable:
         is also all-or-nothing: timestamps are checked up front and
         :meth:`TVList.put_all` validates every value before mutating, so a
         bad record anywhere in the batch leaves the memtable untouched.
-        ``validated=True`` is the caller's promise that
-        :func:`check_timestamps` and :meth:`check_values` already passed on
-        exactly these arguments, so nothing is validated twice.
+
+        A column new to this memtable gets the TVList of ``dtype``, the
+        column's pinned type, so an all-int part of a DOUBLE column is
+        still a DOUBLE column here.  ``validated=True`` is the
+        caller's promise that :func:`check_timestamps` and the column
+        type's :meth:`TVList.validate_all` already passed on exactly these
+        arguments, so nothing is validated twice.
         """
         if len(timestamps) != len(values):
             raise InvalidParameterError("timestamps and values lengths differ")
@@ -120,7 +135,6 @@ class MemTable:
             tvlist = self._chunks.get(key)
             created = tvlist is None
             if created:
-                dtype = infer_dtype(values[0])
                 tvlist = tvlist_for(dtype, array_size=self.config.array_size)
             # put_all validates every value before appending any, so a
             # validation failure here leaves both the TVList and (via the

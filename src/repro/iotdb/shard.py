@@ -8,12 +8,16 @@ routes every series to exactly one of them by a stable hash of the device
 id, so shards never share mutable state and writes to different shards
 proceed concurrently.
 
-One write path: the batch is the only unit of work.  ``write_batch``, point
-writes (``StorageEngine.write`` is a batch of one), and WAL replay all run
-the same :meth:`StorageShard._ingest` routine — partition by space,
-validate everything, one WAL ``append_batch`` per non-empty space, apply to
-the memtables, one ``should_flush`` per space — so there is exactly one
-commit point per unit of work and a rejected write leaves no durable trace.
+One write path: the batch is the only unit of work, and it crosses the
+shard as two columns.  ``write_batch``, point writes
+(``StorageEngine.write`` is a batch of one), and WAL replay all run the same
+:meth:`StorageShard._ingest` routine — validate everything against the
+column's pinned type, split by space with one watermark compare, one WAL
+column frame per non-empty space, apply to the memtables, one
+``should_flush`` per space — so there is exactly one commit point per unit
+of work and a rejected write leaves no durable trace.  A column's type is
+pinned per shard, not per memtable (:meth:`StorageShard._column_type`), so
+a late write cannot give the unsequence memtable a second type of a column.
 
 One read path: ``query``, ``aggregate`` and ``latest_time`` all start from
 :meth:`StorageShard._column_sources` — the only walk over a column's
@@ -74,7 +78,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from repro.analysis.concurrency import apply_guards, create_lock, holds
-from repro.errors import QueryError, StorageError
+from repro.errors import InvalidParameterError, QueryError, StorageError
 from repro.iotdb.aggregation import (
     AggregationResult,
     aggregate_from_points,
@@ -82,7 +86,7 @@ from repro.iotdb.aggregation import (
     combine,
     empty_aggregate,
 )
-from repro.iotdb.config import IoTDBConfig
+from repro.iotdb.config import IoTDBConfig, TSDataType
 from repro.iotdb.flush import FlushReport, flush_memtable
 from repro.iotdb.interval_index import (
     INDEX_FILE_NAME,
@@ -95,6 +99,7 @@ from repro.iotdb.memtable import MemTable, check_timestamps
 from repro.iotdb.query import QueryResult, QueryStats, TimeRangeQueryExecutor
 from repro.iotdb.separation import SeparationPolicy, Space
 from repro.iotdb.tsfile import TsFileReader, TsFileWriter
+from repro.iotdb.typed_tvlists import infer_dtype, tvlist_class
 from repro.iotdb.wal import SegmentedWal
 
 
@@ -169,6 +174,7 @@ class StorageShard:
         "_wals": "_lock",
         "_file_counter": "_lock",
         "_index": "_lock",
+        "_column_types": "_lock",
     }
 
     def __init__(
@@ -204,6 +210,8 @@ class StorageShard:
         }
         self._flushing: list[_FlushTask] = []
         self._sealed: list[_SealedFile] = []
+        # The pinned type of every column written so far (see _column_type).
+        self._column_types: dict[tuple[str, str], TSDataType] = {}
         self._file_counter = 0
         # Interval index over the sealed files; no lock of its own — every
         # access happens under this shard's lock.
@@ -262,12 +270,14 @@ class StorageShard:
     ) -> int:
         """The one ingest routine: validate → log → apply, one batch at a time.
 
-        Every point is routed with the watermark as of the batch's start and
-        the batch is partitioned by space; then *everything* is validated
-        before anything is made durable or visible — a rejected batch leaves
-        no WAL frame, no memtable point, and no ``points_written`` count
-        behind, in either space.  Only then does each non-empty space's part
-        land in the WAL through one batched append (a single flush keeps the
+        The batch crosses it as two columns.  *Everything* is validated
+        first — timestamps, then every value against the column's pinned
+        type (:meth:`_column_type`) — before anything is made durable or
+        visible: a rejected batch leaves no WAL frame, no memtable point,
+        no type pin and no ``points_written`` count behind, in either space.
+        Then the separation policy splits the batch by space with one
+        watermark compare (:meth:`SeparationPolicy.split`), each non-empty
+        part lands in the WAL as one column frame (a single flush keeps the
         whole part durable on acknowledge) and in its working memtable, and
         ``should_flush`` is checked once per space after the batch — a
         memtable may overshoot its threshold by at most one batch, which is
@@ -278,29 +288,25 @@ class StorageShard:
         the working memtables without sealing them, so nothing is flushed.
         Returns the number of flushes triggered.
         """
+        if len(timestamps) != len(values):
+            raise InvalidParameterError("timestamps and values lengths differ")
+        if not len(timestamps):
+            return 0
         check_timestamps(timestamps)
-        by_space: dict[Space, tuple[list, list]] = {
-            Space.SEQUENCE: ([], []),
-            Space.UNSEQUENCE: ([], []),
-        }
-        for t, v in zip(timestamps, values):
-            ts, vs = by_space[self.separation.route(device, t)]
-            ts.append(t)  # repro: allow(stats-accounting): space routing, not a sort
-            vs.append(v)
-        parts = [(space, ts, vs) for space, (ts, vs) in by_space.items() if ts]
-        for space, _ts, vs in parts:
-            self._working[space].check_values(device, sensor, vs)
+        key = (device, sensor)
+        dtype = self._column_types.get(key) or self._column_type(device, sensor, values)
+        tvlist_class(dtype).validate_all(values)
+        parts = self.separation.split(device, timestamps, values)
         if self._wals is not None and not replay:
             for space, ts, vs in parts:
-                self._wals[space].append_batch(
-                    [(device, sensor, t, v) for t, v in zip(ts, vs)]
-                )
+                self._wals[space].append_batch(device, sensor, ts, vs, dtype)
         for space, ts, vs in parts:
             self._working[space].write_batch(
-                device, sensor, ts, vs, validated=True
+                device, sensor, ts, vs, dtype=dtype, validated=True
             )
             self._instruments.points_written.inc(len(ts))
             self._shard_instruments.points_written.inc(len(ts))
+        self._column_types[key] = dtype
         flushes_triggered = 0
         if not replay:
             for space, _ts, _vs in parts:
@@ -308,6 +314,22 @@ class StorageShard:
                     self._flush_space(space)
                     flushes_triggered += 1
         return flushes_triggered
+
+    @holds("_lock")
+    def _column_type(self, device: str, sensor: str, values) -> TSDataType:
+        """The type a column is pinned to, when ``_column_types`` has none yet.
+
+        One type per column for the shard's lifetime, not per memtable: a
+        column that already holds points keeps the type of its stalest
+        source (a sealed chunk or a live TVList), so a late write can no
+        longer open a second type in the unsequence memtable; a new column
+        takes the type its first value implies.  :meth:`_ingest` records
+        the pin once a batch is accepted, so a rejected batch pins nothing.
+        """
+        for source in self._column_sources(device, sensor):
+            if source.chunk is not None:
+                return source.chunk.dtype
+        return infer_dtype(values[0])
 
     # -- flushing --------------------------------------------------------------
 

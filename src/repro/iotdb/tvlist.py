@@ -121,10 +121,26 @@ class TVList:
         """Append one point: a batch of one (see :meth:`put_all`)."""
         self.put_all((timestamp,), (value,))
 
-    def validate_all(self, values) -> None:
-        """Reject the whole batch if any value is of the wrong type."""
+    @classmethod
+    def validate_all(cls, values) -> None:
+        """Reject the whole batch if any value is of the wrong type.
+
+        A class method, so a batch can be checked against a column type
+        before any TVList of it exists.  The common batch passes on a few
+        C-level scans (:meth:`_batch_is_valid`); any other batch is judged
+        value by value by :meth:`_validate_value`.
+        """
+        if cls._batch_is_valid(values):
+            return
         for value in values:
-            self._validate_value(value)
+            cls._validate_value(value)
+
+    @classmethod
+    def _batch_is_valid(cls, values) -> bool:
+        """Subclass hook: True only when ``values`` certainly all pass
+        :meth:`_validate_value`.  False sends the batch to the per-value
+        loop, so the shortcut never decides a rejection or its message."""
+        return False
 
     def put_all(self, timestamps, values, *, validated: bool = False) -> None:
         """Append many points at once — the only ingest path.
@@ -180,7 +196,8 @@ class TVList:
         if self._min_time_seen is None or mn < self._min_time_seen:
             self._min_time_seen = mn
 
-    def _validate_value(self, value) -> None:
+    @classmethod
+    def _validate_value(cls, value) -> None:
         """Subclass hook: reject values of the wrong type."""
 
     # -- access ------------------------------------------------------------

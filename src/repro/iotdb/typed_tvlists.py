@@ -17,10 +17,18 @@ C-speed copies.  BOOLEAN and TEXT values keep plain list storage (no
 fixed-width typecode represents them losslessly).  One visible consequence:
 FLOAT/DOUBLE columns store every value as a C double, so an ``int`` written
 into an existing float column reads back as ``float`` — exactly what the
-on-disk encoders already did at flush time.
+on-disk encoders already did at flush time — and an ``int`` no double can
+hold (beyond ``±sys.float_info.max``) is rejected like any other bad value.
+
+Each class also says, in its ``_batch_is_valid``, when a whole batch is
+certainly valid on a few C-level scans (the set of value types, and for
+the numeric columns ``min``/``max``), so :meth:`TVList.validate_all` runs
+one Python check per value only for the batches that need it.
 """
 
 from __future__ import annotations
+
+import sys
 
 from repro.errors import InvalidParameterError
 from repro.iotdb.config import TSDataType
@@ -28,6 +36,19 @@ from repro.iotdb.tvlist import TVList
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_FLOAT_MAX = sys.float_info.max
+
+_INTS = frozenset({int})
+_NUMBERS = frozenset({float, int})
+_BOOLS = frozenset({bool})
+_STRINGS = frozenset({str})
+
+
+def _ints_within(values, low: int, high: int) -> bool:
+    """True when every value is a plain ``int`` in ``[low, high]``."""
+    return {*map(type, values)} <= _INTS and (
+        not values or low <= min(values) and max(values) <= high
+    )
 
 
 class IntTVList(TVList):
@@ -37,7 +58,12 @@ class IntTVList(TVList):
     _TIME_TYPECODE = "q"
     _VALUE_TYPECODE = "q"
 
-    def _validate_value(self, value) -> None:
+    @classmethod
+    def _batch_is_valid(cls, values) -> bool:
+        return _ints_within(values, _INT32_MIN, _INT32_MAX)
+
+    @classmethod
+    def _validate_value(cls, value) -> None:
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidParameterError(f"INT32 TVList requires int, got {type(value).__name__}")
         if not _INT32_MIN <= value <= _INT32_MAX:
@@ -51,35 +77,53 @@ class LongTVList(TVList):
     _TIME_TYPECODE = "q"
     _VALUE_TYPECODE = "q"
 
-    def _validate_value(self, value) -> None:
+    @classmethod
+    def _batch_is_valid(cls, values) -> bool:
+        return _ints_within(values, _INT64_MIN, _INT64_MAX)
+
+    @classmethod
+    def _validate_value(cls, value) -> None:
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidParameterError(f"INT64 TVList requires int, got {type(value).__name__}")
         if not _INT64_MIN <= value <= _INT64_MAX:
             raise InvalidParameterError(f"value {value} out of INT64 range")
 
 
-class FloatTVList(TVList):
+class _FloatingTVList(TVList):
+    """Shared FLOAT/DOUBLE validation: floats, and ints a double can hold."""
+
+    _TIME_TYPECODE = "q"
+    _VALUE_TYPECODE = "d"
+
+    @classmethod
+    def _batch_is_valid(cls, values) -> bool:
+        # Only an int can lie beyond the double range, so min/max are taken
+        # only when one is present.  A NaN never passes the range compare,
+        # so a batch holding one falls through to the per-value loop.
+        types = {*map(type, values)}
+        return types <= _NUMBERS and (
+            int not in types or -_FLOAT_MAX <= min(values) and max(values) <= _FLOAT_MAX
+        )
+
+    @classmethod
+    def _validate_value(cls, value) -> None:
+        kind = cls.dtype.name
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise InvalidParameterError(f"{kind} TVList requires float, got {type(value).__name__}")
+        if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise InvalidParameterError(f"int value out of {kind} range")
+
+
+class FloatTVList(_FloatingTVList):
     """Single-precision float values (IoTDB FLOAT); stored as Python float."""
 
     dtype = TSDataType.FLOAT
-    _TIME_TYPECODE = "q"
-    _VALUE_TYPECODE = "d"
-
-    def _validate_value(self, value) -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InvalidParameterError(f"FLOAT TVList requires float, got {type(value).__name__}")
 
 
-class DoubleTVList(TVList):
+class DoubleTVList(_FloatingTVList):
     """Double-precision float values (IoTDB DOUBLE)."""
 
     dtype = TSDataType.DOUBLE
-    _TIME_TYPECODE = "q"
-    _VALUE_TYPECODE = "d"
-
-    def _validate_value(self, value) -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InvalidParameterError(f"DOUBLE TVList requires float, got {type(value).__name__}")
 
 
 class BooleanTVList(TVList):
@@ -88,20 +132,43 @@ class BooleanTVList(TVList):
     dtype = TSDataType.BOOLEAN
     _TIME_TYPECODE = "q"
 
-    def _validate_value(self, value) -> None:
+    @classmethod
+    def _batch_is_valid(cls, values) -> bool:
+        return {*map(type, values)} <= _BOOLS
+
+    @classmethod
+    def _validate_value(cls, value) -> None:
         if not isinstance(value, bool):
             raise InvalidParameterError(f"BOOLEAN TVList requires bool, got {type(value).__name__}")
 
 
 class TextTVList(TVList):
-    """String values (IoTDB TEXT)."""
+    """String values (IoTDB TEXT); each must be encodable as UTF-8, the
+    form both the WAL and the TsFile text encoder store."""
 
     dtype = TSDataType.TEXT
     _TIME_TYPECODE = "q"
 
-    def _validate_value(self, value) -> None:
+    @classmethod
+    def _batch_is_valid(cls, values) -> bool:
+        if not {*map(type, values)} <= _STRINGS:
+            return False
+        try:
+            "".join(values).encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return True
+
+    @classmethod
+    def _validate_value(cls, value) -> None:
         if not isinstance(value, str):
             raise InvalidParameterError(f"TEXT TVList requires str, got {type(value).__name__}")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidParameterError(
+                "TEXT value is not encodable as UTF-8 (lone surrogate)"
+            ) from None
 
 
 _TVLIST_CLASSES: dict[TSDataType, type[TVList]] = {
@@ -114,13 +181,17 @@ _TVLIST_CLASSES: dict[TSDataType, type[TVList]] = {
 }
 
 
-def tvlist_for(dtype: TSDataType, array_size: int = 32) -> TVList:
-    """Instantiate the typed TVList for a column type."""
+def tvlist_class(dtype: TSDataType) -> type[TVList]:
+    """The typed TVList class of a column type."""
     try:
-        cls = _TVLIST_CLASSES[dtype]
+        return _TVLIST_CLASSES[dtype]
     except KeyError:
         raise InvalidParameterError(f"no TVList class for {dtype!r}") from None
-    return cls(array_size=array_size)
+
+
+def tvlist_for(dtype: TSDataType, array_size: int = 32) -> TVList:
+    """Instantiate the typed TVList for a column type."""
+    return tvlist_class(dtype)(array_size=array_size)
 
 
 def infer_dtype(value) -> TSDataType:

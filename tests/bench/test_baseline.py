@@ -153,6 +153,23 @@ def test_invariant_catches_tail_queries_that_resort_the_list():
     assert "arrived since the last one" in problems[0]
 
 
+def test_invariant_catches_a_wal_that_is_no_longer_binary():
+    # The JSON batch frame logged 218 182 bytes for this cell's 4 000 points.
+    point = {"bytes_appended": 249_630, "flushes": 4_000}
+    json_batch = {"bytes_appended": 218_182, "flushes": 69}
+    current = {
+        "n": 4000,
+        "cells": {"ingest/path=point": point, "ingest/path=batch": json_batch},
+    }
+    problems = check_invariants(current)
+    assert len(problems) == 1
+    assert "no longer binary" in problems[0]
+    # The column frames of the same run: 42 193 bytes, ~10.5 per point.
+    column_batch = {"bytes_appended": 42_193, "flushes": 69}
+    current["cells"]["ingest/path=batch"] = column_batch
+    assert check_invariants(current) == []
+
+
 def test_committed_baseline_matches_the_current_tree():
     committed = Path(__file__).resolve().parents[2] / "BENCH_sorter.json"
     baseline = json.loads(committed.read_text(encoding="utf-8"))

@@ -38,6 +38,17 @@ that fixes it:
    acknowledged) was durably logged and ``StorageEngine.open`` then died
    replaying it.  Fixed by the one ingest routine's commit order:
    validate → log → apply.
+9. **A rejected write still reached the WAL** — values the column's
+   validation accepted but its storage could not hold (an ``int`` beyond
+   ``±sys.float_info.max`` in a DOUBLE column, a timestamp outside int64)
+   were logged, then raised a bare ``OverflowError`` while being applied,
+   and ``StorageEngine.open`` died replaying them.  Fixed: validation
+   rejects them with ``InvalidParameterError`` before anything is logged.
+10. **A column's type was pinned per memtable** — a late write of another
+    type landed in the (empty) unsequence memtable as a second type of the
+    column: every later ``compact()`` raised ``EncodingError``, and with
+    ``deferred_flush`` the replay on ``open`` raised.  Fixed: the shard pins
+    one type per column.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ import pytest
 from repro.errors import InjectedCrashError, InjectedFaultError, InvalidParameterError
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.faults.crash import CrashSimulator
-from repro.iotdb import IoTDBConfig, Space, StorageEngine
+from repro.iotdb import IoTDBConfig, Space, StorageEngine, TSDataType
 
 
 def _config(tmp_path, **kw):
@@ -389,8 +400,18 @@ class TestRejectedWritesLeaveNoDurableTrace:
             lambda engine: engine.write("d", "s", 3, "oops"),
             lambda engine: engine.write_batch("d", "s", [3, 4], [3.0, "oops"]),
             lambda engine: engine.write_batch("d", "s", [3, "four"], [3.0, 4.0]),
+            lambda engine: engine.write_batch("d", "s", [3], [2**1100]),
+            lambda engine: engine.write_batch("d", "s", [3, 4], [3.0, -(2**1100)]),
+            lambda engine: engine.write_batch("d", "s", [3, 2**64], [3.0, 4.0]),
         ],
-        ids=["point", "batch-value", "batch-timestamp"],
+        ids=[
+            "point",
+            "batch-value",
+            "batch-timestamp",
+            "double-overflowing-int",
+            "batch-double-overflowing-int",
+            "timestamp-beyond-int64",
+        ],
     )
     def test_reopen_returns_exactly_the_acknowledged_points(self, tmp_path, rejected):
         config = _config(tmp_path)
@@ -407,3 +428,78 @@ class TestRejectedWritesLeaveNoDurableTrace:
         result = recovered.query("d", "s", 0, 10)
         assert (result.timestamps, result.values) == ([1, 2, 5], [1.0, 2.0, 5.0])
         recovered.close()
+
+
+class TestColumnTypeIsPinnedPerColumn:
+    """Bug 10: the type pin lived in each memtable, not in the column."""
+
+    @pytest.mark.parametrize("late", ["x", True, 2.5], ids=["text", "bool", "double"])
+    def test_late_write_of_another_type_is_rejected(self, tmp_path, late):
+        config = _config(tmp_path)
+        engine = StorageEngine.create(config)
+        engine.write_batch("d", "s", [1, 2, 3, 4], [1, 2, 3, 4])  # INT64
+        engine.flush_all()
+        logged = engine.wal_stats()
+        with pytest.raises(InvalidParameterError):
+            engine.write_batch("d", "s", [2], [late])
+        assert engine.wal_stats() == logged
+        # Pre-fix the late point sat in the unsequence memtable as a second
+        # type, and every compaction from then on raised EncodingError.
+        engine.write_batch("d", "s", [3], [30])  # a late point of the right type
+        engine.flush_all()
+        engine.compact()
+        result = engine.query("d", "s", 0, 10)
+        assert (result.timestamps, result.values) == ([1, 2, 3, 4], [1, 2, 30, 4])
+        engine.close()
+
+    def test_rejected_batch_pins_nothing(self, tmp_path):
+        engine = StorageEngine.create(_config(tmp_path))
+        with pytest.raises(InvalidParameterError):
+            engine.write_batch("d", "s", [1, 2], ["x", 5])  # TEXT, then an int
+        engine.write_batch("d", "s", [1], [1.5])  # the column is still free
+        shard = engine.shard_for("d")
+        with shard._lock:
+            assert shard._column_types[("d", "s")] is TSDataType.DOUBLE
+        engine.close()
+
+    def test_pin_survives_reopen(self, tmp_path):
+        config = _config(tmp_path)
+        engine = StorageEngine.create(config)
+        engine.write_batch("d", "s", [1, 2], [1, 2])
+        engine.close()
+        reopened = StorageEngine.open(config)
+        with pytest.raises(InvalidParameterError):
+            reopened.write_batch("d", "s", [1], ["x"])
+        reopened.close()
+
+    def test_retired_unsealed_column_keeps_its_type_and_the_tree_opens(self, tmp_path):
+        config = _config(tmp_path, deferred_flush=True, memtable_flush_threshold=4)
+        engine = StorageEngine.create(config)
+        engine.write_batch("d", "s", [1, 2, 3, 4], [1, 2, 3, 4])  # retired, unsealed
+        assert engine.pending_flushes() == 1
+        with pytest.raises(InvalidParameterError):
+            engine.write_batch("d", "s", [2], [2.5])
+        # No close, no drain: pre-fix, replay put 2.5 into the INT64 list
+        # and open() raised InvalidParameterError.
+        recovered = _recover(tmp_path, config)
+        result = recovered.query("d", "s", 0, 10)
+        assert (result.timestamps, result.values) == ([1, 2, 3, 4], [1, 2, 3, 4])
+        recovered.close()
+
+    def test_all_int_late_part_of_a_double_column_stays_double(self, tmp_path):
+        config = _config(tmp_path)
+        engine = StorageEngine.create(config)
+        engine.write_batch("d", "s", [1, 2, 3], [1.5, 2.5, 3.5])
+        engine.flush_all()
+        engine.write_batch("d", "s", [2, 4], [7, 8])  # unseq 2, seq 4; both ints
+        shard = engine.shard_for("d")
+        with shard._lock:
+            working = [shard._working[space] for space in Space]
+        for memtable in working:
+            assert memtable.chunk_dtype("d", "s") is TSDataType.DOUBLE
+        engine.flush_all()
+        engine.compact()
+        result = engine.query("d", "s", 0, 10)
+        assert result.values == [1.5, 7.0, 3.5, 8.0]
+        assert all(type(v) is float for v in result.values)
+        engine.close()

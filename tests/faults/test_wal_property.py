@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import WalCorruptionError
 from repro.iotdb import WriteAheadLog
+from repro.iotdb.typed_tvlists import infer_dtype
 
 _names = st.text(alphabet="abcdef_.0123456789", min_size=1, max_size=8)
 _values = st.one_of(
@@ -41,8 +42,9 @@ def _encode(records) -> tuple[bytes, list[int]]:
     buf = io.BytesIO()
     wal = WriteAheadLog(buf)
     boundaries = [0]
-    for record in records:
-        wal.append_batch([record])  # one frame per record
+    for device, sensor, t, v in records:
+        # one frame per record, logged under the type its value implies
+        wal.append_batch(device, sensor, [t], [v], infer_dtype(v))
         boundaries.append(buf.tell())
     return buf.getvalue(), boundaries
 

@@ -28,7 +28,7 @@ import pytest
 
 from repro.errors import InvalidParameterError, MemTableFlushedError
 from repro.iotdb import StorageEngine
-from repro.iotdb.config import IoTDBConfig
+from repro.iotdb.config import IoTDBConfig, TSDataType
 from repro.iotdb.memtable import MemTable, MemTableState
 
 
@@ -61,7 +61,7 @@ class TestRacingMarkFlushing:
         thread = threading.Thread(target=flusher)
         thread.start()
         try:
-            mem.write_batch("root.race.d0", "s0", timestamps, values)
+            mem.write_batch("root.race.d0", "s0", timestamps, values, dtype=TSDataType.INT64)
             applied = True
         except MemTableFlushedError:
             applied = False
@@ -78,7 +78,7 @@ class TestRacingMarkFlushing:
         mem = _memtable()
         mem.mark_flushing()
         with pytest.raises(MemTableFlushedError):
-            mem.write_batch("root.race.d0", "s0", [1, 2, 3], [1, 2, 3])
+            mem.write_batch("root.race.d0", "s0", [1, 2, 3], [1, 2, 3], dtype=TSDataType.INT64)
         assert len(mem) == 0
         assert mem.chunk("root.race.d0", "s0") is None
 
@@ -87,22 +87,22 @@ class TestValidationIsAllOrNothing:
     def test_bad_timestamp_mid_batch_applies_nothing(self):
         mem = _memtable()
         with pytest.raises(InvalidParameterError):
-            mem.write_batch("d", "s", [1, 2, "three", 4], [1, 2, 3, 4])
+            mem.write_batch("d", "s", [1, 2, "three", 4], [1, 2, 3, 4], dtype=TSDataType.INT64)
         assert len(mem) == 0
         assert mem.chunk("d", "s") is None
 
     def test_bad_value_mid_batch_applies_nothing(self):
         mem = _memtable()
         with pytest.raises(InvalidParameterError):
-            mem.write_batch("d", "s", [1, 2, 3, 4], [1, 2, "three", 4])
+            mem.write_batch("d", "s", [1, 2, 3, 4], [1, 2, "three", 4], dtype=TSDataType.INT64)
         assert len(mem) == 0
         assert mem.chunk("d", "s") is None
 
     def test_bad_value_does_not_disturb_an_existing_chunk(self):
         mem = _memtable()
-        mem.write_batch("d", "s", [1, 2, 3], [10, 20, 30])
+        mem.write_batch("d", "s", [1, 2, 3], [10, 20, 30], dtype=TSDataType.INT64)
         with pytest.raises(InvalidParameterError):
-            mem.write_batch("d", "s", [4, 5, 6], [40, "fifty", 60])
+            mem.write_batch("d", "s", [4, 5, 6], [40, "fifty", 60], dtype=TSDataType.INT64)
         assert len(mem) == 3
         tvlist = mem.chunk("d", "s")
         assert tvlist.timestamps() == [1, 2, 3]
@@ -111,19 +111,19 @@ class TestValidationIsAllOrNothing:
     def test_length_mismatch_applies_nothing(self):
         mem = _memtable()
         with pytest.raises(InvalidParameterError):
-            mem.write_batch("d", "s", [1, 2, 3], [1, 2])
+            mem.write_batch("d", "s", [1, 2, 3], [1, 2], dtype=TSDataType.INT64)
         assert len(mem) == 0
 
     def test_empty_batch_is_a_noop(self):
         mem = _memtable()
-        mem.write_batch("d", "s", [], [])
+        mem.write_batch("d", "s", [], [], dtype=TSDataType.INT64)
         assert len(mem) == 0
         assert mem.chunk("d", "s") is None
         assert mem.state is MemTableState.WORKING
 
     def test_successful_batch_lands_every_point(self):
         mem = _memtable()
-        mem.write_batch("d", "s", [3, 1, 2], [30, 10, 20])
+        mem.write_batch("d", "s", [3, 1, 2], [30, 10, 20], dtype=TSDataType.INT64)
         assert len(mem) == 3
         tvlist = mem.chunk("d", "s")
         assert sorted(tvlist.timestamps()) == [1, 2, 3]

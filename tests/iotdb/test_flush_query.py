@@ -18,15 +18,18 @@ from repro.iotdb import (
     TsFileWriter,
     flush_memtable,
 )
+from repro.iotdb.config import TSDataType
 from repro.iotdb.query import TimeRangeQueryExecutor, merge_last_write_wins
 from repro.errors import QueryError
 from repro.sorting import get_sorter
 from tests.conftest import make_delayed_stream
 
+DOUBLE = TSDataType.DOUBLE
+
 
 def _flushing_memtable(stream, config=None, device="d", sensor="s"):
     memtable = MemTable(config or IoTDBConfig(memtable_flush_threshold=10**9))
-    memtable.write_batch(device, sensor, stream.timestamps, stream.values)
+    memtable.write_batch(device, sensor, stream.timestamps, stream.values, dtype=DOUBLE)
     memtable.mark_flushing()
     return memtable
 
@@ -43,7 +46,9 @@ class TestFlushPipeline:
 
     def test_duplicates_deduped_keeping_last(self):
         memtable = MemTable(IoTDBConfig())
-        memtable.write_batch("d", "s", [1, 2, 2, 3, 1], [1.0, 2.0, 20.0, 3.0, 10.0])
+        memtable.write_batch(
+            "d", "s", [1, 2, 2, 3, 1], [1.0, 2.0, 20.0, 3.0, 10.0], dtype=DOUBLE
+        )
         memtable.mark_flushing()
         buf = io.BytesIO()
         report = flush_memtable(memtable, TsFileWriter(buf), get_sorter("tim"))
@@ -60,7 +65,7 @@ class TestFlushPipeline:
         # older value.  dedupe_arrival now collapses duplicates pre-sort.
         memtable = MemTable(IoTDBConfig())
         ts = list(range(50)) + list(range(50))
-        memtable.write_batch("d", "s", ts, [float(i) for i in range(100)])
+        memtable.write_batch("d", "s", ts, [float(i) for i in range(100)], dtype=DOUBLE)
         memtable.mark_flushing()
         buf = io.BytesIO()
         report = flush_memtable(memtable, TsFileWriter(buf), get_sorter("backward"))
@@ -74,8 +79,9 @@ class TestFlushPipeline:
         stream = make_delayed_stream(1_000, seed=2)
         memtable = MemTable(IoTDBConfig())
         half = len(stream) // 2
-        memtable.write_batch("d1", "s", stream.timestamps[:half], stream.values[:half])
-        memtable.write_batch("d2", "s", stream.timestamps[half:], stream.values[half:])
+        ts, vs = stream.timestamps, stream.values
+        memtable.write_batch("d1", "s", ts[:half], vs[:half], dtype=DOUBLE)
+        memtable.write_batch("d2", "s", ts[half:], vs[half:], dtype=DOUBLE)
         memtable.mark_flushing()
         report = flush_memtable(memtable, TsFileWriter(io.BytesIO()), get_sorter("quick"))
         assert len(report.chunks) == 2
@@ -104,9 +110,7 @@ class TestQueryExecutor:
     def _reader_with(self, ts, vs, device="d", sensor="s"):
         buf = io.BytesIO()
         writer = TsFileWriter(buf)
-        from repro.iotdb.config import TSDataType
-
-        writer.write_chunk(device, sensor, TSDataType.DOUBLE, ts, vs)
+        writer.write_chunk(device, sensor, DOUBLE, ts, vs)
         writer.close()
         return TsFileReader(buf)
 
@@ -114,7 +118,7 @@ class TestQueryExecutor:
         executor = TimeRangeQueryExecutor(get_sorter("backward"))
         reader = self._reader_with([0, 1, 2], [0.0, 1.0, 2.0])
         memtable = MemTable(IoTDBConfig())
-        memtable.write_batch("d", "s", [3, 5, 4], [3.0, 5.0, 4.0])
+        memtable.write_batch("d", "s", [3, 5, 4], [3.0, 5.0, 4.0], dtype=DOUBLE)
         result = executor.execute(
             "d", "s", 0, 10, files=[(None, reader)], memtables=[memtable]
         )
@@ -127,9 +131,9 @@ class TestQueryExecutor:
         seq = self._reader_with([5], [1.0])
         unseq = self._reader_with([5], [2.0])
         flushing = MemTable(IoTDBConfig())
-        flushing.write_batch("d", "s", [5], [3.0])
+        flushing.write_batch("d", "s", [5], [3.0], dtype=DOUBLE)
         working = MemTable(IoTDBConfig())
-        working.write_batch("d", "s", [5], [4.0])
+        working.write_batch("d", "s", [5], [4.0], dtype=DOUBLE)
         result = executor.execute(
             "d", "s", 0, 10,
             files=[(None, seq), (None, unseq)], memtables=[flushing, working],
@@ -139,7 +143,7 @@ class TestQueryExecutor:
     def test_window_filters_memtable_points(self):
         executor = TimeRangeQueryExecutor(get_sorter("backward"))
         memtable = MemTable(IoTDBConfig())
-        memtable.write_batch("d", "s", [1, 50, 99], [1.0, 50.0, 99.0])
+        memtable.write_batch("d", "s", [1, 50, 99], [1.0, 50.0, 99.0], dtype=DOUBLE)
         result = executor.execute("d", "s", 40, 60, memtables=[memtable])
         assert result.timestamps == [50]
 
@@ -164,7 +168,9 @@ class TestQueryExecutor:
     def test_stats_scanned_vs_returned(self):
         executor = TimeRangeQueryExecutor(get_sorter("backward"))
         memtable = MemTable(IoTDBConfig())
-        memtable.write_batch("d", "s", list(range(100)), [float(i) for i in range(100)])
+        memtable.write_batch(
+            "d", "s", list(range(100)), [float(i) for i in range(100)], dtype=DOUBLE
+        )
         result = executor.execute("d", "s", 10, 20, memtables=[memtable])
         assert result.stats.points_scanned == 100
         assert result.stats.points_returned == 10

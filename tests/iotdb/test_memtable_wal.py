@@ -24,14 +24,15 @@ from repro.iotdb import (
     TSDataType,
     WriteAheadLog,
 )
+from repro.iotdb.typed_tvlists import infer_dtype
 
 
 class TestMemTable:
     def test_write_and_chunk_layout(self):
         mt = MemTable(IoTDBConfig(memtable_flush_threshold=100))
-        mt.write_batch("d1", "s1", [10], [1.0])
-        mt.write_batch("d1", "s2", [10], [5])
-        mt.write_batch("d2", "s1", [11], [2.0])
+        mt.write_batch("d1", "s1", [10], [1.0], dtype=TSDataType.DOUBLE)
+        mt.write_batch("d1", "s2", [10], [5], dtype=TSDataType.INT64)
+        mt.write_batch("d2", "s1", [11], [2.0], dtype=TSDataType.DOUBLE)
         assert mt.total_points == 3
         assert mt.devices() == ["d1", "d2"]
         assert [key[:2] for key in [(d, s) for d, s, _ in mt.iter_chunks()]] == [
@@ -42,34 +43,34 @@ class TestMemTable:
 
     def test_schema_inference_and_stickiness(self):
         mt = MemTable()
-        mt.write_batch("d", "s", [1], [1.5])
+        mt.write_batch("d", "s", [1], [1.5], dtype=infer_dtype(1.5))
         assert mt.chunk_dtype("d", "s") is TSDataType.DOUBLE
-        with pytest.raises(InvalidParameterError):
-            mt.write_batch("d", "s", [2], ["text"])  # dtype pinned to DOUBLE
+        with pytest.raises(InvalidParameterError):  # the column is DOUBLE
+            mt.write_batch("d", "s", [2], ["text"], dtype=TSDataType.TEXT)
 
     def test_timestamp_must_be_int(self):
         mt = MemTable()
         with pytest.raises(InvalidParameterError):
-            mt.write_batch("d", "s", [1.5], [1.0])
+            mt.write_batch("d", "s", [1.5], [1.0], dtype=TSDataType.DOUBLE)
         with pytest.raises(InvalidParameterError):
-            mt.write_batch("d", "s", [True], [1.0])
+            mt.write_batch("d", "s", [True], [1.0], dtype=TSDataType.DOUBLE)
 
     def test_should_flush_threshold(self):
         mt = MemTable(IoTDBConfig(memtable_flush_threshold=3))
         for t in range(2):
-            mt.write_batch("d", "s", [t], [1.0])
+            mt.write_batch("d", "s", [t], [1.0], dtype=TSDataType.DOUBLE)
         assert not mt.should_flush()
-        mt.write_batch("d", "s", [2], [1.0])
+        mt.write_batch("d", "s", [2], [1.0], dtype=TSDataType.DOUBLE)
         assert mt.should_flush()
 
     def test_state_machine(self):
         mt = MemTable()
-        mt.write_batch("d", "s", [1], [1.0])
+        mt.write_batch("d", "s", [1], [1.0], dtype=TSDataType.DOUBLE)
         assert mt.state is MemTableState.WORKING
         mt.mark_flushing()
         assert mt.state is MemTableState.FLUSHING
         with pytest.raises(MemTableFlushedError):
-            mt.write_batch("d", "s", [2], [2.0])
+            mt.write_batch("d", "s", [2], [2.0], dtype=TSDataType.DOUBLE)
         with pytest.raises(MemTableFlushedError):
             mt.mark_flushing()
         mt.mark_flushed()
@@ -79,24 +80,25 @@ class TestMemTable:
 
     def test_write_batch(self):
         mt = MemTable()
-        mt.write_batch("d", "s", [1, 2, 3], [1.0, 2.0, 3.0])
+        mt.write_batch("d", "s", [1, 2, 3], [1.0, 2.0, 3.0], dtype=TSDataType.DOUBLE)
         assert mt.total_points == 3
         with pytest.raises(InvalidParameterError):
-            mt.write_batch("d", "s", [1], [1.0, 2.0])
+            mt.write_batch("d", "s", [1], [1.0, 2.0], dtype=TSDataType.DOUBLE)
 
 
 class TestSeparationPolicy:
     def test_routes_seq_before_any_flush(self):
         policy = SeparationPolicy()
-        assert policy.route("d", 100) is Space.SEQUENCE
+        assert policy.split("d", [100], [1.0]) == [(Space.SEQUENCE, [100], [1.0])]
         assert policy.watermark("d") is None
 
     def test_routes_unseq_at_or_below_watermark(self):
         policy = SeparationPolicy()
         policy.update_watermark("d", 100)
-        assert policy.route("d", 100) is Space.UNSEQUENCE
-        assert policy.route("d", 50) is Space.UNSEQUENCE
-        assert policy.route("d", 101) is Space.SEQUENCE
+        assert policy.split("d", [100, 50, 101], ["a", "b", "c"]) == [
+            (Space.SEQUENCE, [101], ["c"]),
+            (Space.UNSEQUENCE, [100, 50], ["a", "b"]),
+        ]
 
     def test_watermark_monotone(self):
         policy = SeparationPolicy()
@@ -107,36 +109,50 @@ class TestSeparationPolicy:
     def test_per_device_isolation(self):
         policy = SeparationPolicy()
         policy.update_watermark("d1", 100)
-        assert policy.route("d2", 5) is Space.SEQUENCE
+        assert policy.split("d2", [5], [0]) == [(Space.SEQUENCE, [5], [0])]
 
     def test_disabled_policy_routes_everything_seq(self):
         policy = SeparationPolicy(enabled=False)
         policy.update_watermark("d", 100)
-        assert policy.route("d", 1) is Space.SEQUENCE
+        assert policy.split("d", [1], [0]) == [(Space.SEQUENCE, [1], [0])]
 
     def test_routed_counts(self):
         policy = SeparationPolicy()
         policy.update_watermark("d", 10)
-        policy.route("d", 5)
-        policy.route("d", 20)
+        policy.split("d", [5, 20], [0, 0])
         counts = policy.routed_counts()
         assert counts[Space.UNSEQUENCE] == 1
         assert counts[Space.SEQUENCE] == 1
+
+    def test_batch_wholly_on_one_side_is_not_copied(self):
+        policy = SeparationPolicy()
+        policy.update_watermark("d", 10)
+        ts, vs = (11, 12), (1.0, 2.0)
+        ((space, out_ts, out_vs),) = policy.split("d", ts, vs)
+        assert space is Space.SEQUENCE and out_ts is ts and out_vs is vs
+        late = [3, 10]
+        ((space, out_ts, _),) = policy.split("d", late, [0, 0])
+        assert space is Space.UNSEQUENCE and out_ts is late
+
+    def test_empty_batch_has_no_parts(self):
+        policy = SeparationPolicy()
+        assert policy.split("d", [], []) == []
+        assert policy.routed_counts() == {Space.SEQUENCE: 0, Space.UNSEQUENCE: 0}
 
 
 class TestWriteAheadLog:
     def test_append_replay_roundtrip(self):
         wal = WriteAheadLog()
         records = [("d1", "s1", 5, 1.5), ("d1", "s2", 6, "x"), ("d2", "s1", 7, True)]
-        for r in records:
-            wal.append_batch([r])
+        for device, sensor, t, v in records:
+            wal.append_batch(device, sensor, [t], [v], infer_dtype(v))
         assert list(wal.replay()) == records
 
     def test_torn_tail_tolerated(self):
         buf = io.BytesIO()
         wal = WriteAheadLog(buf)
-        wal.append_batch([("d", "s", 1, 1.0)])
-        wal.append_batch([("d", "s", 2, 2.0)])
+        wal.append_batch("d", "s", [1], [1.0], TSDataType.DOUBLE)
+        wal.append_batch("d", "s", [2], [2.0], TSDataType.DOUBLE)
         # Simulate a crash mid-append: chop the last few bytes.
         data = buf.getvalue()[:-3]
         recovered = WriteAheadLog(io.BytesIO(data))
@@ -145,7 +161,7 @@ class TestWriteAheadLog:
     def test_corruption_raises_in_strict_mode(self):
         buf = io.BytesIO()
         wal = WriteAheadLog(buf)
-        wal.append_batch([("d", "s", 1, 1.0)])
+        wal.append_batch("d", "s", [1], [1.0], TSDataType.DOUBLE)
         data = bytearray(buf.getvalue())
         data[6] ^= 0xFF  # corrupt the payload
         bad = WriteAheadLog(io.BytesIO(bytes(data)))
@@ -162,8 +178,8 @@ class TestWalStrictDiagnostics:
     def _log(*records) -> bytes:
         buf = io.BytesIO()
         wal = WriteAheadLog(buf)
-        for record in records:
-            wal.append_batch([record])
+        for device, sensor, t, v in records:
+            wal.append_batch(device, sensor, [t], [v], TSDataType.DOUBLE)
         return buf.getvalue()
 
     def test_torn_header_names_record(self):
@@ -209,7 +225,7 @@ class TestWalStrictDiagnostics:
         path = tmp_path / "wal.log"
         handle = open(path, "wb+")
         wal = WriteAheadLog(handle)
-        wal.append_batch([("d", "s", 1, 1.0)])
+        wal.append_batch("d", "s", [1], [1.0], TSDataType.DOUBLE)
         # Read through a second descriptor: only OS-visible bytes count.
         replayed = list(WriteAheadLog(open(path, "rb")).replay())
         assert replayed == [("d", "s", 1, 1.0)]
@@ -219,17 +235,17 @@ class TestWalStrictDiagnostics:
 class TestSegmentedWal:
     def test_rotate_and_replay_order(self):
         wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
-        wal.append_batch([("d", "s", 1, 1.0)])
+        wal.append_batch("d", "s", [1], [1.0], TSDataType.DOUBLE)
         sealed_id = wal.rotate()
-        wal.append_batch([("d", "s", 2, 2.0)])
+        wal.append_batch("d", "s", [2], [2.0], TSDataType.DOUBLE)
         assert wal.sealed_segment_ids() == [sealed_id]
         assert list(wal.replay()) == [("d", "s", 1, 1.0), ("d", "s", 2, 2.0)]
 
     def test_drop_removes_only_that_segment(self):
         wal = SegmentedWal.on_store(MemoryStore(), "", "seq", fresh=True)
-        wal.append_batch([("d", "s", 1, 1.0)])
+        wal.append_batch("d", "s", [1], [1.0], TSDataType.DOUBLE)
         first = wal.rotate()
-        wal.append_batch([("d", "s", 2, 2.0)])
+        wal.append_batch("d", "s", [2], [2.0], TSDataType.DOUBLE)
         wal.drop(first)
         assert list(wal.replay()) == [("d", "s", 2, 2.0)]
 
@@ -243,9 +259,9 @@ class TestSegmentedWal:
 
     def test_on_disk_fresh_deletes_recovery_keeps(self, tmp_path):
         wal = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=True)
-        wal.append_batch([("d", "s", 1, 1.0)])
+        wal.append_batch("d", "s", [1], [1.0], TSDataType.DOUBLE)
         wal.rotate()
-        wal.append_batch([("d", "s", 2, 2.0)])
+        wal.append_batch("d", "s", [2], [2.0], TSDataType.DOUBLE)
         wal.close()
 
         recovered = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=False)
@@ -261,8 +277,8 @@ class TestSegmentedWal:
     def test_spaces_are_isolated_on_disk(self, tmp_path):
         seq = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "seq", fresh=True)
         unseq = SegmentedWal.on_store(LocalDirStore(tmp_path), "", "unseq", fresh=True)
-        seq.append_batch([("d", "s", 1, 1.0)])
-        unseq.append_batch([("d", "s", 2, 2.0)])
+        seq.append_batch("d", "s", [1], [1.0], TSDataType.DOUBLE)
+        unseq.append_batch("d", "s", [2], [2.0], TSDataType.DOUBLE)
         assert list(seq.replay()) == [("d", "s", 1, 1.0)]
         assert list(unseq.replay()) == [("d", "s", 2, 2.0)]
         seq.close()

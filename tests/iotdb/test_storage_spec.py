@@ -21,6 +21,7 @@ from repro.iotdb import IoTDBConfig, StorageEngine
 # the implementation: the test checks code and spec agree.
 SPEC_WAL_BATCH_FLAG = 0x80000000
 SPEC_WAL_LENGTH_MASK = 0x7FFFFFFF
+SPEC_WAL_COLUMN_TAG = 0x01
 SPEC_META_MAGIC = b"REPROMETA1"
 SPEC_INDEX_MAGIC = b"REPROIDX1"
 SPEC_TSFILE_MAGIC = b"TsFilePy1"
@@ -42,6 +43,49 @@ def data_dir(tmp_path) -> Path:
     return root
 
 
+def spec_decode_column(payload: bytes) -> list[list]:
+    """STORAGE.md §3 column frame payload → ``[[d, s, t, v], …]``.
+
+    ``0x01 | code | u32 len + device | u32 len + sensor | u32 n |
+    u32 m | m bytes of raw DEFLATE inflating to n × int64 LE | values``;
+    every byte must be consumed.
+    """
+    assert payload[0] == SPEC_WAL_COLUMN_TAG
+    code = payload[1:2]
+    pos = 2
+    names = []
+    for _ in range(2):
+        (length,) = struct.unpack_from("<I", payload, pos)
+        names.append(payload[pos + 4 : pos + 4 + length].decode("utf-8"))
+        pos += 4 + length
+    n, m = struct.unpack_from("<II", payload, pos)
+    pos += 8
+    inflater = zlib.decompressobj(-15)  # raw DEFLATE: no zlib header
+    time_bytes = inflater.decompress(payload[pos : pos + m])
+    assert inflater.eof and not inflater.unused_data and len(time_bytes) == 8 * n
+    timestamps = list(struct.unpack(f"<{n}q", time_bytes))
+    pos += m
+    if code == b"d":
+        values = list(struct.unpack_from(f"<{n}d", payload, pos))
+        pos += 8 * n
+    elif code == b"q":
+        values = list(struct.unpack_from(f"<{n}q", payload, pos))
+        pos += 8 * n
+    elif code == b"?":
+        values = [byte == 1 for byte in payload[pos : pos + n]]
+        pos += n
+    else:
+        assert code == b"s", code
+        lengths = struct.unpack_from(f"<{n}I", payload, pos)
+        pos += 4 * n
+        values = []
+        for length in lengths:
+            values.append(payload[pos : pos + length].decode("utf-8"))
+            pos += length
+    assert pos == len(payload), "undocumented trailing bytes in column frame"
+    return [[*names, t, v] for t, v in zip(timestamps, values)]
+
+
 def parse_wal_frames(blob: bytes):
     """Frame walker written to the spec: header | payload | crc, LE."""
     offset = 0
@@ -56,7 +100,10 @@ def parse_wal_frames(blob: bytes):
         (crc,) = struct.unpack_from("<I", blob, offset + 4 + length)
         if crc != zlib.crc32(payload) & 0xFFFFFFFF:
             break
-        frames.append((is_batch, json.loads(payload.decode("utf-8"))))
+        if is_batch and payload[0] == SPEC_WAL_COLUMN_TAG:
+            frames.append(("column", spec_decode_column(payload)))
+        else:
+            frames.append(("json", json.loads(payload.decode("utf-8"))))
         offset += 4 + length + 4
     return frames, offset
 
@@ -88,22 +135,51 @@ class TestWalSegmentSpec:
         frames, consumed = parse_wal_frames(blob)
         assert consumed == len(blob), "undocumented trailing bytes in segment"
         assert frames, "live segment should carry the unflushed tail"
-        # The writer emits batch frames only: 16 one-record frames (the
-        # point writes t=64..79) then one ten-record frame (t=80..89).
-        assert all(is_batch for is_batch, _ in frames)
+        # The writer emits column frames only: 16 one-point frames (the
+        # point writes t=64..79) then one ten-point frame (t=80..89).
+        assert all(kind == "column" for kind, _ in frames)
         assert [[record[2] for record in records] for _, records in frames] == [
             [t] for t in range(64, 80)
         ] + [list(range(80, 90))]
-        batch_records = frames[-1][1]
-        for record in batch_records:
-            assert record[0] == "d0" and record[1] == "s0"
+        for record in frames[-1][1]:
+            assert record[:2] == ["d0", "s0"] and record[3] == float(record[2])
 
     def test_point_write_payload_is_a_one_record_batch(self, data_dir):
         blob = (data_dir / "shard-00" / "wal-seq-000002.log").read_bytes()
-        frames, _ = parse_wal_frames(blob)
-        is_batch, records = frames[0]
-        assert is_batch
-        assert records == [["d0", "s0", 64, 64.0]]
+        (header,) = struct.unpack_from("<I", blob, 0)
+        assert header & SPEC_WAL_BATCH_FLAG
+        payload = blob[4 : 4 + (header & SPEC_WAL_LENGTH_MASK)]
+        # tag, value code "d" (a DOUBLE column), "d0", "s0", one point.
+        head = (
+            b"\x01d"
+            + struct.pack("<I", 2) + b"d0"
+            + struct.pack("<I", 2) + b"s0"
+            + struct.pack("<I", 1)
+        )
+        assert payload[: len(head)] == head
+        (m,) = struct.unpack_from("<I", payload, len(head))
+        time_column = payload[len(head) + 4 : len(head) + 4 + m]
+        assert zlib.decompress(time_column, -15) == struct.pack("<q", 64)
+        assert payload[len(head) + 4 + m :] == struct.pack("<d", 64.0)
+
+    def test_typed_columns_decode_with_the_spec_rule(self, tmp_path):
+        root = tmp_path / "typed"
+        engine = StorageEngine.create(IoTDBConfig(data_dir=root, wal_enabled=True))
+        columns = {
+            "i": [-(2**63), 0, 2**63 - 1],
+            "b": [True, False, True],
+            "t": ["", "ascii", "ünï 日本"],
+            "f": [-0.5, 2, 1e300],
+        }
+        for sensor, values in columns.items():
+            engine.write_batch("dev", sensor, [1, 2, 3], values)
+        del engine
+        frames, consumed = parse_wal_frames(
+            (root / "shard-00" / "wal-seq-000001.log").read_bytes()
+        )
+        assert [kind for kind, _ in frames] == ["column"] * 4
+        decoded = {records[0][1]: [r[3] for r in records] for _, records in frames}
+        assert decoded == {**columns, "f": [-0.5, 2.0, 1e300]}
 
     def test_torn_tail_stops_replay_cleanly(self, data_dir):
         blob = (data_dir / "shard-00" / "wal-seq-000002.log").read_bytes()

@@ -9,6 +9,7 @@ from repro.errors import InvalidParameterError
 from repro.iotdb import (
     BooleanTVList,
     DoubleTVList,
+    FloatTVList,
     IntTVList,
     IoTDBConfig,
     LongTVList,
@@ -20,6 +21,7 @@ from repro.iotdb import (
     infer_dtype,
     tvlist_for,
 )
+from repro.iotdb.memtable import check_timestamps
 from repro.iotdb.query import TimeRangeQueryExecutor
 from repro.sorting import available_sorters, get_sorter
 from tests.conftest import make_delayed_stream
@@ -324,7 +326,8 @@ class TestSortInPlaceProperty:
                 for t in ts:
                     arrivals += 1
                     vs.append(f"v{arrivals}" if text else float(arrivals))
-                memtable.write_batch("d", "s", ts, vs)
+                dtype = TSDataType.TEXT if text else TSDataType.DOUBLE
+                memtable.write_batch("d", "s", ts, vs, dtype=dtype)
                 model.update(zip(ts, vs))
                 continue
             tv = memtable.chunk("d", "s")
@@ -389,3 +392,100 @@ class TestTypedTVLists:
         assert infer_dtype("x") is TSDataType.TEXT
         with pytest.raises(InvalidParameterError):
             infer_dtype(object())
+
+
+class _MyInt(int):
+    pass
+
+
+#: Every kind of value a batch may carry, including the ones a whole-batch
+#: check can stumble on: bools (an int subclass), other int subclasses,
+#: ints beyond int64 and beyond the double range, NaN and infinities, and
+#: strings with a lone surrogate (not UTF-8 encodable).
+_ANY_VALUE = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([2**31, -(2**31) - 1, 2**63, -(2**63) - 1, 2**1100, -(2**1100)]),
+    st.integers(min_value=-5, max_value=5).map(_MyInt),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["\ud800", "a\udfff"]),
+    st.none(),
+)
+
+_TYPED = [IntTVList, LongTVList, FloatTVList, DoubleTVList, BooleanTVList, TextTVList]
+
+
+def _first_rejection(check, values) -> str | None:
+    """The per-value reference: the message of the first rejected value."""
+    for value in values:
+        try:
+            check(value)
+        except InvalidParameterError as exc:
+            return str(exc)
+    return None
+
+
+def _outcome(check_all, values) -> str | None:
+    try:
+        check_all(values)
+    except InvalidParameterError as exc:
+        return str(exc)
+    return None
+
+
+class TestBatchValidation:
+    """``validate_all``/``check_timestamps`` take a whole-batch shortcut; it
+    must accept and reject exactly what the per-value loop does, with the
+    same message."""
+
+    @settings(max_examples=300)
+    @given(
+        cls=st.sampled_from(_TYPED),
+        values=st.lists(_ANY_VALUE, max_size=6),
+        homogeneous=st.booleans(),
+    )
+    def test_validate_all_matches_the_per_value_rule(self, cls, values, homogeneous):
+        if homogeneous and values:
+            # Most real batches are one type: make sure the shortcut sees them.
+            values = [v for v in values if type(v) is type(values[0])]
+        assert _outcome(cls.validate_all, values) == _first_rejection(
+            cls._validate_value, values
+        )
+
+    @settings(max_examples=200)
+    @given(ts=st.lists(_ANY_VALUE, max_size=6), tuple_input=st.booleans())
+    def test_check_timestamps_matches_the_per_value_rule(self, ts, tuple_input):
+        def one(t):
+            if not isinstance(t, int) or isinstance(t, bool):
+                raise InvalidParameterError(f"timestamp must be int, got {type(t).__name__}")
+            if not -(2**63) <= t <= 2**63 - 1:
+                raise InvalidParameterError(f"timestamp {t} out of int64 range")
+
+        batch = tuple(ts) if tuple_input else ts
+        assert _outcome(check_timestamps, batch) == _first_rejection(one, ts)
+
+    @pytest.mark.parametrize("cls", [FloatTVList, DoubleTVList])
+    def test_floating_columns_reject_ints_no_double_can_hold(self, cls):
+        limit = int(1.7976931348623157e308)
+        cls.validate_all([1.5, limit, -limit, float("inf"), float("nan")])
+        for bad in (limit + 1, -limit - 1, 2**1100):
+            with pytest.raises(InvalidParameterError, match="out of"):
+                cls.validate_all([1.5, bad])
+            with pytest.raises(InvalidParameterError, match="out of"):
+                cls().put(1, bad)
+
+    def test_text_rejects_strings_utf8_cannot_encode(self):
+        TextTVList.validate_all(["", "ünï", "日本"])
+        with pytest.raises(InvalidParameterError, match="UTF-8"):
+            TextTVList.validate_all(["ok", "\ud800"])
+
+    def test_memtable_builds_a_new_column_from_the_given_type(self):
+        mt = MemTable()
+        mt.write_batch("d", "s", [1, 2], [3, 4], dtype=TSDataType.DOUBLE)
+        assert mt.chunk_dtype("d", "s") is TSDataType.DOUBLE
+        assert mt.chunk("d", "s").values() == [3.0, 4.0]
+        mt.write_batch("d", "t", [1], [3], dtype=TSDataType.INT64)
+        assert mt.chunk_dtype("d", "t") is TSDataType.INT64
+        with pytest.raises(TypeError):
+            mt.write_batch("d", "u", [1], [3])  # the type is the caller's to give
