@@ -258,13 +258,12 @@ def _compact_locked(shard, policy, obs, Timer) -> CompactionReport:
         columns: dict[tuple[str, str], list[tuple[list[int], list]]] = {}
         dtypes: dict[tuple[str, str], object] = {}
         for f in ordered:
-            reader = f.reader
-            for device in reader.devices():
-                for sensor in reader.sensors(device):
-                    columns.setdefault((device, sensor), []).append(
-                        reader.read_chunk(device, sensor)
-                    )
-                    dtypes[(device, sensor)] = reader.chunk_metadata(device, sensor).dtype
+            for chunk in f.reader.chunks():
+                if not chunk.pages:
+                    continue  # holds no point, so its dtype must not win
+                key = (chunk.device, chunk.sensor)
+                columns.setdefault(key, []).append(f.reader.read_chunk(*key))
+                dtypes[key] = chunk.dtype
 
         writer, new_sealed = shard._new_sink(Space.SEQUENCE)
         points = 0

@@ -266,25 +266,9 @@ class IntervalIndex:
         return cls._parse(text, key)
 
 
-def file_time_range(reader) -> tuple[int, int] | None:
-    """A sealed file's closed time range over every column (None = empty)."""
-    lo: int | None = None
-    hi: int | None = None
-    for device in reader.devices():
-        for sensor in reader.sensors(device):
-            meta = reader.chunk_metadata(device, sensor)
-            if meta is None or meta.min_time is None:
-                continue
-            lo = meta.min_time if lo is None else min(lo, meta.min_time)
-            hi = meta.max_time if hi is None else max(hi, meta.max_time)
-    if lo is None or hi is None:
-        return None
-    return lo, hi
-
-
 def entry_for_sealed(sealed) -> IndexEntry | None:
     """The index entry for one shard ``_SealedFile`` (None when empty)."""
-    time_range = file_time_range(sealed.reader)
+    time_range = sealed.reader.time_range
     if time_range is None:
         return None
     return IndexEntry(

@@ -831,14 +831,15 @@ class StorageShard:
         # sink under its .part key: never sealed, never readable, safe to
         # discard.  Same for a torn interval-index .part: the published
         # index (or a rebuild) supersedes it.
-        for key in self.store.list(self.prefix):
+        keys = self.store.list(self.prefix)
+        for key in keys:
             if key.endswith(".tsfile.part"):
                 self.store.delete(key, missing_ok=True)
         self.store.delete(self.prefix + INDEX_FILE_NAME + ".part", missing_ok=True)
 
         replayed = 0
         with self._lock:
-            for key in self.store.list(self.prefix):
+            for key in keys:
                 if not key.endswith(".tsfile"):
                     continue
                 name = key.rsplit("/", 1)[-1]
@@ -860,16 +861,7 @@ class StorageShard:
                 self._file_counter = max(self._file_counter, file_number)
 
             self._recover_index()
-
-            # Watermarks: the largest sequence-space time per device.
-            for sealed in self._sealed:
-                if sealed.space is not Space.SEQUENCE:
-                    continue
-                for device in sealed.reader.devices():
-                    for sensor in sealed.reader.sensors(device):
-                        meta = sealed.reader.chunk_metadata(device, sensor)
-                        if meta is not None and meta.max_time is not None:
-                            self.separation.update_watermark(device, meta.max_time)
+            self._recover_columns()
 
             # WAL replay: unflushed writes come back into the working
             # memtables.
@@ -923,6 +915,35 @@ class StorageShard:
                 self._instruments.wal_replayed.inc(replayed)
         return replayed
 
+    @holds("_lock")
+    def _recover_columns(self) -> None:
+        """One walk over every sealed file's chunks, stalest file first.
+
+        Rebuilds the separation watermarks (the largest sequence-space time
+        per device) and pins every sealed column to the type of its stalest
+        chunk — the pin :meth:`_column_type` would derive from
+        :meth:`_column_sources`, so replay needs no source walk per column.
+        A column sealed under two types (a tree written before types were
+        pinned per column) is refused: reads would mix the types and every
+        compaction would fail to encode the merge.
+        """
+        pinned_by: dict[tuple[str, str], str] = {}
+        stalest_first = sorted(self._sealed, key=lambda f: f.space is not Space.SEQUENCE)
+        for sealed in stalest_first:
+            for chunk in sealed.reader.chunks():
+                if not chunk.pages:
+                    continue  # the format admits a chunk with no page
+                if sealed.space is Space.SEQUENCE:
+                    self.separation.update_watermark(chunk.device, chunk.max_time)
+                key = (chunk.device, chunk.sensor)
+                dtype = self._column_types.setdefault(key, chunk.dtype)
+                if dtype is not chunk.dtype:
+                    raise StorageError(
+                        f"column {chunk.device}.{chunk.sensor} is sealed as "
+                        f"{dtype.value} in {pinned_by[key]} and as "
+                        f"{chunk.dtype.value} in {sealed.file_id}"
+                    )
+                pinned_by.setdefault(key, sealed.file_id)
 
 
 def _latest_time(sources: list[_Source]) -> int | None:

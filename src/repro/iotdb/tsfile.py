@@ -28,6 +28,7 @@ import json
 import struct
 import zlib
 from bisect import bisect_left
+from collections.abc import ValuesView
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidParameterError, TsFileCorruptionError
@@ -289,15 +290,40 @@ class TsFileReader:
         footer = self._file.read(footer_len)
         if zlib.crc32(footer) != footer_crc:
             raise TsFileCorruptionError("footer checksum mismatch")
+        by_device: dict[str, list[str]] = {}
+        lo = hi = None
         for obj in json.loads(footer.decode("utf-8")):
             chunk = ChunkMetadata.from_json(obj)
-            self._chunks[(chunk.device, chunk.sensor)] = chunk
+            key = (chunk.device, chunk.sensor)
+            if key in self._chunks:
+                raise TsFileCorruptionError(
+                    f"footer lists {chunk.device}.{chunk.sensor} twice"
+                )
+            self._chunks[key] = chunk
+            by_device.setdefault(chunk.device, []).append(chunk.sensor)
+            if chunk.pages:  # the format admits a chunk with no page
+                lo = chunk.min_time if lo is None else min(lo, chunk.min_time)
+                hi = chunk.max_time if hi is None else max(hi, chunk.max_time)
+        # device -> its sensors, both sorted: devices() and sensors() are
+        # lookups, not a scan of every chunk key per device.
+        self._sensors = {d: sorted(by_device[d]) for d in sorted(by_device)}
+        #: ``(min_time, max_time)`` over every chunk that has a page,
+        #: closed; ``None`` when no chunk has one.
+        self.time_range: tuple[int, int] | None = (
+            None if lo is None else (lo, hi)
+        )
 
     def devices(self) -> list[str]:
-        return sorted({d for d, _ in self._chunks})
+        return list(self._sensors)
 
     def sensors(self, device: str) -> list[str]:
-        return sorted(s for d, s in self._chunks if d == device)
+        return list(self._sensors.get(device, ()))
+
+    def chunks(self) -> ValuesView[ChunkMetadata]:
+        """Every chunk's metadata, in footer (write) order: a read-only
+        view built by the one pass over the footer, so a caller that needs
+        every column walks the file's chunks once."""
+        return self._chunks.values()
 
     def chunk_metadata(self, device: str, sensor: str) -> ChunkMetadata | None:
         return self._chunks.get((device, sensor))

@@ -49,16 +49,27 @@ that fixes it:
     column: every later ``compact()`` raised ``EncodingError``, and with
     ``deferred_flush`` the replay on ``open`` raised.  Fixed: the shard pins
     one type per column.
+11. **A tree holding one column under two types opened** — a tree written
+    before types were pinned per column could seal a column as DOUBLE in
+    one file and INT64 in another; ``open`` succeeded, queries returned
+    mixed-type values and every ``compact()`` raised ``EncodingError``.
+    Fixed: recovery compares each sealed column's type across the files
+    and refuses the tree with a ``StorageError`` naming both files.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import InjectedCrashError, InjectedFaultError, InvalidParameterError
+from repro.errors import (
+    InjectedCrashError,
+    InjectedFaultError,
+    InvalidParameterError,
+    StorageError,
+)
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.faults.crash import CrashSimulator
-from repro.iotdb import IoTDBConfig, Space, StorageEngine, TSDataType
+from repro.iotdb import IoTDBConfig, Space, StorageEngine, TSDataType, TsFileWriter
 
 
 def _config(tmp_path, **kw):
@@ -503,3 +514,23 @@ class TestColumnTypeIsPinnedPerColumn:
         assert result.values == [1.5, 7.0, 3.5, 8.0]
         assert all(type(v) is float for v in result.values)
         engine.close()
+
+    def test_tree_holding_a_column_under_two_types_is_refused(self, tmp_path):
+        config = _config(tmp_path)
+        engine = StorageEngine.create(config)
+        engine.write_batch("d", "s", [1, 2, 3], [1.5, 2.5, 3.5])
+        shard_dir = config.data_dir / engine.shard_for("d").prefix
+        engine.close()  # seals shard-NN/seq-000001.tsfile
+        # What a tree written before the per-column pin can hold: a late
+        # unsequence file with the same column as INT64.
+        with open(shard_dir / "unseq-000009.tsfile", "wb") as sink:
+            writer = TsFileWriter(sink)
+            writer.write_chunk("d", "s", TSDataType.INT64, [2], [7])
+            writer.close()
+        # Pre-fix, open() succeeded, query returned [1.5, 7, 3.5] and every
+        # compact() raised EncodingError.
+        with pytest.raises(StorageError) as refused:
+            StorageEngine.open(config)
+        message = str(refused.value)
+        for part in ("d.s", "double", "int64", "seq-000001", "unseq-000009"):
+            assert part in message

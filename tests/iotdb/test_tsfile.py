@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import io
+import json
+import struct
+import zlib
 
 import pytest
 
 from repro.errors import InvalidParameterError, TsFileCorruptionError
 from repro.iotdb import PageStatistics, TSDataType, TsFileReader, TsFileWriter
+from repro.iotdb.tsfile import MAGIC
 
 
 def _write_simple(ts, vs, dtype=TSDataType.DOUBLE, page_size=10, **chunk_kwargs):
@@ -169,6 +173,24 @@ class TestCorruptionDetection:
         data[-20] ^= 0xFF
         with pytest.raises(TsFileCorruptionError):
             TsFileReader(io.BytesIO(bytes(data)))
+
+    def test_footer_listing_a_column_twice(self):
+        # A checksum-valid footer that names one column twice: the reader
+        # would have to pick one chunk silently.
+        data = _write_simple([1], [1.0]).getvalue()
+        tail = len(MAGIC) + 8
+        (footer_len,) = struct.unpack("<I", data[-tail : -tail + 4])
+        footer_start = len(data) - tail - footer_len
+        chunks = json.loads(data[footer_start : len(data) - tail])
+        footer = json.dumps(chunks * 2).encode("utf-8")
+        forged = (
+            data[:footer_start]
+            + footer
+            + struct.pack("<II", len(footer), zlib.crc32(footer))
+            + MAGIC
+        )
+        with pytest.raises(TsFileCorruptionError, match="twice"):
+            TsFileReader(io.BytesIO(forged))
 
     def test_page_corruption_detected_on_read(self):
         ts = list(range(100))

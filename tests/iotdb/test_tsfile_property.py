@@ -71,3 +71,53 @@ def test_query_range_matches_filter(column, lo, width):
     out_t, out_v = reader.query_range("dev", "sen", lo, hi)
     expected = [(t, v) for t, v in zip(ts, vs) if lo <= t < hi]
     assert list(zip(out_t, out_v)) == expected
+
+
+@st.composite
+def _footer(draw):
+    """Columns for one file: a few devices sharing sensor names, some
+    columns empty (a chunk with no page), possibly no column at all."""
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from("abcd"), st.sampled_from(["s1", "s2", "s3"])),
+            unique=True,
+            max_size=8,
+        )
+    )
+    columns = []
+    for device, sensor in keys:
+        start = draw(st.integers(-50, 500))
+        n = draw(st.integers(0, 12))
+        ts = [start + 3 * i for i in range(n)]
+        columns.append((f"root.{device}", sensor, ts))
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=_footer(), page_size=st.sampled_from([2, 5, 1024]))
+def test_metadata_views_match_brute_force(columns, page_size):
+    buf = io.BytesIO()
+    writer = TsFileWriter(buf)
+    for device, sensor, ts in columns:
+        writer.write_chunk(
+            device, sensor, TSDataType.INT64, ts, list(ts), page_size=page_size
+        )
+    writer.close()
+    reader = TsFileReader(buf)
+
+    written = [(device, sensor) for device, sensor, _ts in columns]
+    metas = [reader.chunk_metadata(*key) for key in written]
+    assert all(meta is not None for meta in metas)
+    assert reader.devices() == sorted({device for device, _ in written})
+    for device in reader.devices() + ["root.absent"]:
+        assert reader.sensors(device) == sorted(s for d, s in written if d == device)
+    assert list(reader.chunks()) == metas  # footer (write) order
+    spans = [(m.min_time, m.max_time) for m in metas if m.pages]
+    expected = (min(lo for lo, _ in spans), max(hi for _, hi in spans)) if spans else None
+    assert reader.time_range == expected
+    # The lists handed out are the caller's own.
+    reader.devices().clear()
+    for device in reader.devices():
+        reader.sensors(device).clear()
+        assert reader.sensors(device) == sorted(s for d, s in written if d == device)
+    assert reader.devices() == sorted({device for device, _ in written})
