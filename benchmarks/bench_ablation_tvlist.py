@@ -1,13 +1,15 @@
-"""Ablations of the storage substrate: TVList array size and encodings.
+"""Ablations of the storage substrate: encodings, compression and the
+§V-C TVList sort strategy.
 
-The TVList backing-array size (IoTDB default 32, §V-B) trades allocation
-count against wasted slots; the encoding choice trades flush CPU against
-file size.  Both are benchmarked on the same flush workload.
+The encoding and compression choices trade flush CPU against file size on
+the same flush workload; the sort-strategy ablation sets the engine's flat
+columns against IoTDB's deque of fixed-size arrays (§V-B).
 """
 
 from __future__ import annotations
 
 import io
+from array import array
 
 import pytest
 
@@ -17,45 +19,6 @@ from repro.sorting import get_sorter
 from repro.workloads import log_normal
 
 _N = 8_000
-
-
-@pytest.mark.parametrize("array_size", (8, 32, 256))
-def test_tvlist_array_size_ingest(benchmark, array_size):
-    benchmark.group = "ablation: TVList array size (ingest)"
-    stream = log_normal(_N, mu=1.0, sigma=1.0, seed=7)
-    config = IoTDBConfig(array_size=array_size, memtable_flush_threshold=_N + 1)
-
-    def run():
-        memtable = MemTable(config)
-        memtable.write_batch(
-            "d", "s", stream.timestamps, stream.values, dtype=TSDataType.DOUBLE
-        )
-        return memtable
-
-    memtable = benchmark(run)
-    benchmark.extra_info["allocated_slots"] = memtable.memory_slots()
-
-
-@pytest.mark.parametrize("array_size", (8, 32, 256))
-def test_tvlist_array_size_flush(benchmark, array_size):
-    benchmark.group = "ablation: TVList array size (flush)"
-    stream = log_normal(_N, mu=1.0, sigma=1.0, seed=7)
-    config = IoTDBConfig(array_size=array_size, memtable_flush_threshold=_N + 1)
-    sorter = get_sorter("backward")
-
-    def setup():
-        memtable = MemTable(config)
-        memtable.write_batch(
-            "d", "s", stream.timestamps, stream.values, dtype=TSDataType.DOUBLE
-        )
-        memtable.mark_flushing()
-        return (memtable,), {}
-
-    benchmark.pedantic(
-        lambda mt: flush_memtable(mt, TsFileWriter(io.BytesIO()), sorter),
-        setup=setup,
-        rounds=3,
-    )
 
 
 @pytest.mark.parametrize("encoding", ("plain", "gorilla"))
@@ -103,30 +66,38 @@ def test_page_compression_flush(benchmark, compression):
 
 @pytest.mark.parametrize("strategy", ("flatten", "direct"))
 def test_tvlist_sort_strategy(benchmark, strategy):
-    """§V-C ablation: flatten-sort-writeback vs index-arithmetic in place.
+    """§V-C ablation: flat-column sort vs index arithmetic over a deque.
 
-    In Java the direct path wins (no copy); in CPython the per-access
-    div/mod usually costs more than the flat copy saves — measured here.
+    ``flatten`` sorts a DOUBLE TVList's two flat columns through
+    :meth:`TVList.sort_in_place`; ``direct`` sorts IoTDB's layout, a deque
+    of 32-slot typed arrays built from the same columns in ``setup``, in
+    place.  In Java the direct path wins (no copy); in CPython the
+    per-access div/mod usually costs more than the flat copy saves —
+    measured here.
     """
     benchmark.group = "ablation: TVList sort strategy (backward sort)"
     stream = log_normal(_N, mu=1.0, sigma=1.0, seed=7)
 
-    def setup():
-        memtable = MemTable(IoTDBConfig(memtable_flush_threshold=_N + 1))
-        memtable.write_batch(
-            "d", "s", stream.timestamps, stream.values, dtype=TSDataType.DOUBLE
-        )
-        return (memtable.chunk("d", "s"),), {}
-
     if strategy == "flatten":
         sorter = get_sorter("backward")
+
+        def setup():
+            memtable = MemTable(IoTDBConfig(memtable_flush_threshold=_N + 1))
+            memtable.write_batch(
+                "d", "s", stream.timestamps, stream.values, dtype=TSDataType.DOUBLE
+            )
+            return (memtable.chunk("d", "s"),), {}
 
         def run(tvlist):
             tvlist.sort_in_place(sorter)
     else:
-        from repro.iotdb.tvlist_sort import backward_sort_tvlist_inplace
+        from repro.iotdb.tvlist_sort import ArrayDeque, backward_sort_tvlist_inplace
 
-        def run(tvlist):
-            backward_sort_tvlist_inplace(tvlist)
+        def setup():
+            deque = ArrayDeque(array("q", stream.timestamps), array("d", stream.values))
+            return (deque,), {}
+
+        def run(deque):
+            backward_sort_tvlist_inplace(deque)
 
     benchmark.pedantic(run, setup=setup, rounds=3)

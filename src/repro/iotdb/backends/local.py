@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.errors import BlobNotFoundError
+from repro.errors import BlobNotFoundError, StorageError
 from repro.iotdb.backends.base import BlobStore, validate_key
 
 
@@ -65,11 +65,21 @@ class LocalDirStore(BlobStore):
         return self._path(key).is_file()
 
     def list(self, prefix: str = "") -> list[str]:
-        if not self.root.is_dir():
+        # Only the directory up to the prefix's last "/" can hold a match,
+        # so only it is walked; the string filter stays, because a prefix
+        # such as "shard-0" must still match "shard-00/...".
+        head = prefix[: prefix.rfind("/") + 1]
+        if head:
+            try:
+                validate_key(head[:-1])
+            except StorageError:
+                return []  # no valid key starts with a malformed directory
+        base = self.root / head
+        if not base.is_dir():
             return []
         keys = [
             path.relative_to(self.root).as_posix()
-            for path in self.root.rglob("*")
+            for path in base.rglob("*")
             if path.is_file()
         ]
         return sorted(key for key in keys if key.startswith(prefix))

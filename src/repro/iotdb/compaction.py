@@ -278,7 +278,7 @@ def _compact_locked(shard, policy, obs, Timer) -> CompactionReport:
                 ts,
                 vs,
                 time_encoding=shard.config.time_encoding,
-                value_encoding=shard.config.value_encoding_for(dtypes[(device, sensor)]),
+                value_encoding="plain",
                 page_size=shard.config.page_size,
                 compression=shard.config.compression,
             )

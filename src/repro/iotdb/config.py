@@ -1,10 +1,11 @@
 """Configuration for the IoTDB-substrate storage engine.
 
-Defaults mirror the Apache IoTDB behaviour the paper describes: TVList
-arrays of 32 slots (§V-B "The size of the array is configurable with its
-default value 32"), Backward-Sort as the TVList sorter, and a memtable
-flush threshold around the "appropriate memory points size" of 100,000
-(§VI-A3) — scaled down by default so unit tests stay fast.
+Defaults mirror the Apache IoTDB behaviour the paper describes:
+Backward-Sort as the TVList sorter and a memtable flush threshold around
+the "appropriate memory points size" of 100,000 (§VI-A3) — scaled down by
+default so unit tests stay fast.  IoTDB's TVList array size (§V-B) has no
+knob here: a TVList column is one flat buffer (see
+:mod:`repro.iotdb.tvlist`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class IoTDBConfig:
     """Tunable knobs of the storage substrate.
 
     Attributes:
-        array_size: slots per TVList backing array (IoTDB default 32).
         memtable_flush_threshold: total points across a memtable that
             trigger a flush.
         sorter: registry name of the TVList sorting algorithm — the paper's
@@ -44,9 +44,6 @@ class IoTDBConfig:
             IoTDB's TS_2DIFF).
         compression: page-payload compression: ``none`` (default) or
             ``zlib`` (IoTDB offers GZIP/SNAPPY at the same layer).
-        value_encodings: per-type value encoder overrides; types not listed
-            use :attr:`default_value_encoding`.
-        default_value_encoding: fallback value encoder (``plain``).
         data_dir: directory the engine persists under; ``None`` keeps
             everything in an engine-owned in-memory store (the
             benchmarking default — isolates sort cost from I/O noise,
@@ -99,15 +96,12 @@ class IoTDBConfig:
             selects it.
     """
 
-    array_size: int = 32
     memtable_flush_threshold: int = 10_000
     sorter: str = "backward"
     sorter_options: dict = field(default_factory=dict)
     page_size: int = 1_024
     time_encoding: str = "ts2diff"
     compression: str = "none"
-    value_encodings: dict = field(default_factory=dict)
-    default_value_encoding: str = "plain"
     data_dir: str | Path | None = None
     wal_enabled: bool = False
     separation_enabled: bool = True
@@ -126,8 +120,6 @@ class IoTDBConfig:
             raise InvalidParameterError(
                 f"flush_workers must be >= 0, got {self.flush_workers}"
             )
-        if self.array_size < 1:
-            raise InvalidParameterError(f"array_size must be >= 1, got {self.array_size}")
         if self.memtable_flush_threshold < 1:
             raise InvalidParameterError(
                 "memtable_flush_threshold must be >= 1, "
@@ -153,7 +145,3 @@ class IoTDBConfig:
             )
         if self.data_dir is not None:
             self.data_dir = Path(self.data_dir)
-
-    def value_encoding_for(self, dtype: TSDataType) -> str:
-        """Resolve the value encoder name for a column type."""
-        return self.value_encodings.get(dtype, self.default_value_encoding)

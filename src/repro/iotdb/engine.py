@@ -282,9 +282,18 @@ class StorageEngine:
                 EngineMeta(version=version, backend=store.kind, shards=config.shards),
                 faults=engine.faults,
             )
-        with engine._lock:
+        try:
+            with engine._lock:
+                for shard in engine._shards:
+                    shard.recover()
+        except BaseException:
+            # A refused open writes nothing more: release what the shards
+            # opened so far, flush nothing.
             for shard in engine._shards:
-                shard.recover()
+                shard.release()
+            if engine._flush_pool is not None:
+                engine._flush_pool.shutdown(wait=True)
+            raise
         return engine
 
     @staticmethod

@@ -141,7 +141,7 @@ def flush_memtable(
                             ts,
                             vs,
                             time_encoding=config.time_encoding,
-                            value_encoding=config.value_encoding_for(tvlist.dtype),
+                            value_encoding="plain",
                             page_size=config.page_size,
                             compression=config.compression,
                         )

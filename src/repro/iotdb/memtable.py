@@ -135,7 +135,7 @@ class MemTable:
             tvlist = self._chunks.get(key)
             created = tvlist is None
             if created:
-                tvlist = tvlist_for(dtype, array_size=self.config.array_size)
+                tvlist = tvlist_for(dtype)
             # put_all validates every value before appending any, so a
             # validation failure here leaves both the TVList and (via the
             # deferred registration below) the chunk map unchanged.
@@ -206,8 +206,3 @@ class MemTable:
     def __len__(self) -> int:
         with self._lock:
             return self._total_points
-
-    def memory_slots(self) -> int:
-        """Total allocated TVList slots across all chunks."""
-        with self._lock:
-            return sum(tv.memory_slots() for tv in self._chunks.values())

@@ -784,6 +784,11 @@ class StorageShard:
     def close(self) -> None:
         """Flush everything and release this shard's store handles."""
         self.flush_all()
+        self.release()
+
+    def release(self) -> None:
+        """Close this shard's sealed-file handles and WALs without flushing
+        (what a refused :meth:`StorageEngine.open` leaves to clean up)."""
         with self._lock:
             for sealed in self._sealed:
                 sealed.buffer.close()
@@ -853,8 +858,13 @@ class StorageShard:
                         f"unrecognised TsFile name {name!r}"
                     ) from None
                 handle = self.store.open_read(key)
+                try:
+                    reader = TsFileReader(handle)
+                except BaseException:
+                    handle.close()
+                    raise
                 sealed = _SealedFile(
-                    space=space, reader=TsFileReader(handle), key=key,
+                    space=space, reader=reader, key=key,
                     buffer=handle, file_id=stem,
                 )
                 self._sealed.append(sealed)

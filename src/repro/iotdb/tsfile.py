@@ -44,7 +44,7 @@ def cut_range(ts: list[int], vs: list, start: int, end: int) -> tuple[list[int],
     The range cut of sealed data: two binary searches on the time column
     instead of a per-point filter, shared by :meth:`TsFileReader.query_range`
     and the boundary pages of the statistics aggregate.  A sorted live
-    TVList cuts itself the same way over its backing arrays
+    TVList cuts itself the same way over its time column
     (:meth:`~repro.iotdb.tvlist.TVList.cut_range`).
     """
     lo = bisect_left(ts, start)

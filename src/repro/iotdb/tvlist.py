@@ -1,11 +1,14 @@
 """TVList — IoTDB's in-memory buffer of <T, V> pairs (paper §V-B).
 
-A TVList stores one sensor's points as parallel *lists of fixed-size
-arrays* ("a common compromise ... to allocate contiguous block memory,
-similar to the design pattern of Deque, to achieve a trade-off between
-memory utilization and memory access").  Appends fill the tail array and
-allocate a new one when full; random access decomposes an index into
-(array, offset).
+A TVList stores one sensor's points as two parallel growable columns, one
+for times and one for values, in arrival order.  IoTDB's TVList is a deque
+of fixed-size arrays ("a common compromise ... to allocate contiguous
+block memory, similar to the design pattern of Deque"), which lets its
+sort work in place through ``i // width`` index arithmetic (§V-C).
+CPython never sorts in place — every sort, range cut and flush copies the
+affected slice out into lists for the sorter — so here each column is one
+flat buffer and the deque survives only in the §V-C ablation
+(:mod:`repro.iotdb.tvlist_sort`).
 
 Sorting: a TVList remembers how far it is sorted.  Its first
 ``sorted_upto`` points are *strictly* increasing, and
@@ -26,31 +29,26 @@ prefix (:func:`merge_fresh_suffix`).  Under delay-only arrival the merge
 touches only the prefix tail the suffix reaches back into, which
 Proposition 4 bounds.  So a tail query sorts what arrived since the previous
 one, and the flush inherits the query's work.  When the prefix is shorter
-than the suffix, the whole list is sorted as one.  The sort materialises
-only the affected slice into flat arrays and writes it back.  IoTDB sorts
-in place over the backing arrays through the same index arithmetic; the
-flatten/write-back cost is the same for every algorithm, so relative
+than the suffix, the whole list is sorted as one.  The sort copies only the
+affected slice out into lists and assigns it back with one slice assignment
+per column; the copy costs the same for every algorithm, so relative
 comparisons are preserved (DESIGN.md §4).
 
 Column storage is pluggable per subclass: the base class backs both columns
 with plain Python lists, while the typed subclasses in
 :mod:`repro.iotdb.typed_tvlists` declare :data:`array.array` typecodes
 (``'q'`` for int64 times and integer values, ``'d'`` for float values) so a
-column is one contiguous typed buffer per backing array.  Bulk operations —
-:meth:`TVList.put_all`, :meth:`TVList._write_back` — move whole slices
-between the flat arrays and the backing arrays instead of decomposing every
-index through ``divmod``.  ``put_all`` is the only ingest routine:
-:meth:`TVList.put` is ``put_all`` of one point, so the sorted/min/max
-bookkeeping exists once.  A sorted list answers a range read with
-:meth:`TVList.cut_range`, which bisects the heads of the backing arrays and
-flattens only the in-range slice.
+numeric column is one contiguous typed buffer.  ``put_all`` is the only
+ingest routine: :meth:`TVList.put` is ``put_all`` of one point, so the
+sorted/min/max bookkeeping exists once.  A sorted list answers a range read
+with :meth:`TVList.cut_range`, which bisects the time column and copies
+only the in-range slice.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
 from typing import ClassVar, Iterator
 
 from repro.core.backward_merge import merge_block_into_suffix
@@ -70,50 +68,20 @@ class TVList:
 
     dtype: TSDataType | None = None
 
-    #: ``array.array`` typecode backing the time / value columns; ``None``
-    #: keeps the column as a plain Python list (accepts any value).  The
-    #: typed subclasses in :mod:`repro.iotdb.typed_tvlists` set these so a
-    #: numeric column is one contiguous typed buffer per backing array.
+    #: ``array.array`` typecode of the time / value column; ``None`` keeps
+    #: the column as a plain Python list (accepts any value).  The typed
+    #: subclasses in :mod:`repro.iotdb.typed_tvlists` set these so a numeric
+    #: column is one contiguous typed buffer.
     _TIME_TYPECODE: ClassVar[str | None] = None
     _VALUE_TYPECODE: ClassVar[str | None] = None
 
-    def __init__(self, array_size: int = 32) -> None:
-        if array_size < 1:
-            raise InvalidParameterError(f"array_size must be >= 1, got {array_size}")
-        self._array_size = array_size
-        self._time_arrays: list = []
-        self._value_arrays: list = []
-        self._size = 0
+    def __init__(self) -> None:
+        self._times = _column(self._TIME_TYPECODE)
+        self._values = _column(self._VALUE_TYPECODE)
         self._max_time_seen: int | None = None
         self._min_time_seen: int | None = None
         #: ``[0, _sorted_upto)`` is strictly increasing.
         self._sorted_upto = 0
-
-    # -- backing-array storage --------------------------------------------
-
-    def _new_time_array(self):
-        """One fixed-size backing array for the time column."""
-        if self._TIME_TYPECODE is None:
-            return [0] * self._array_size
-        return array(self._TIME_TYPECODE, (0,)) * self._array_size
-
-    def _new_value_array(self):
-        """One fixed-size backing array for the value column."""
-        if self._VALUE_TYPECODE is None:
-            return [None] * self._array_size
-        return array(self._VALUE_TYPECODE, (0,)) * self._array_size
-
-    def _as_time_buffer(self, ts):
-        """A slice-assignable buffer matching the time-column storage."""
-        if self._TIME_TYPECODE is None:
-            return ts if isinstance(ts, list) else list(ts)
-        return array(self._TIME_TYPECODE, ts)
-
-    def _as_value_buffer(self, vs):
-        """A slice-assignable buffer matching the value-column storage."""
-        if self._VALUE_TYPECODE is None:
-            return vs if isinstance(vs, list) else list(vs)
-        return array(self._VALUE_TYPECODE, vs)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -150,9 +118,11 @@ class TVList:
         memtable's atomic ``write_batch`` relies on this).  A caller that
         already ran :meth:`validate_all` over exactly these values (the
         shard validates a batch before logging it) passes
-        ``validated=True`` so no value is checked twice.  The batch is
-        slice-filled into whole backing arrays, and the min/max/sorted
-        bookkeeping — which exists only here — is updated once per batch.
+        ``validated=True`` so no value is checked twice.  Both columns are
+        built before either is extended, so a timestamp the time column
+        cannot hold also leaves the list untouched, and the
+        min/max/sorted bookkeeping — which exists only here — is updated
+        once per batch.
         """
         n = len(timestamps)
         if n != len(values):
@@ -161,21 +131,11 @@ class TVList:
             return
         if not validated:
             self.validate_all(values)
-        was_sorted = self._sorted_upto == self._size
-        tbuf = self._as_time_buffer(timestamps)
-        vbuf = self._as_value_buffer(values)
-        asize = self._array_size
-        pos = 0
-        while pos < n:
-            offset = self._size % asize
-            if offset == 0:
-                self._time_arrays.append(self._new_time_array())
-                self._value_arrays.append(self._new_value_array())
-            take = min(asize - offset, n - pos)
-            self._time_arrays[-1][offset : offset + take] = tbuf[pos : pos + take]
-            self._value_arrays[-1][offset : offset + take] = vbuf[pos : pos + take]
-            self._size += take
-            pos += take
+        was_sorted = self._sorted_upto == len(self._times)
+        tbuf = _column(self._TIME_TYPECODE, timestamps)
+        vbuf = _column(self._VALUE_TYPECODE, values)
+        self._times.extend(tbuf)
+        self._values.extend(vbuf)
         if was_sorted:
             # The sorted prefix takes the whole batch only if the batch
             # strictly increases and starts after everything seen so far;
@@ -188,7 +148,7 @@ class TVList:
                     break
                 prev = t
             else:
-                self._sorted_upto = self._size
+                self._sorted_upto = len(self._times)
         mn = min(timestamps)
         mx = max(timestamps)
         if self._max_time_seen is None or mx > self._max_time_seen:
@@ -203,12 +163,12 @@ class TVList:
     # -- access ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._times)
 
     @property
     def is_sorted(self) -> bool:
         """True when the timestamps strictly increase in list order."""
-        return self._sorted_upto == self._size
+        return self._sorted_upto == len(self._times)
 
     @property
     def sorted_upto(self) -> int:
@@ -225,78 +185,26 @@ class TVList:
         """Smallest timestamp ingested so far (None when empty)."""
         return self._min_time_seen
 
-    def get_time(self, index: int) -> int:
-        self._check_index(index)
-        return self._time_arrays[index // self._array_size][index % self._array_size]
-
-    def get_value(self, index: int):
-        self._check_index(index)
-        return self._value_arrays[index // self._array_size][index % self._array_size]
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self._size:
-            raise IndexError(f"index {index} out of range for TVList of size {self._size}")
-
     def __iter__(self) -> Iterator[tuple[int, object]]:
-        for i in range(self._size):
-            yield self.get_time(i), self.get_value(i)
+        return zip(self._times, self._values)
 
     def timestamps(self) -> list[int]:
         """Flat copy of all timestamps in list order."""
-        return self._flat(self._time_arrays, 0, self._size)
+        return list(self._times)
 
     def values(self) -> list:
         """Flat copy of all values in list order."""
-        return self._flat(self._value_arrays, 0, self._size)
-
-    def _flat(self, arrays: list, lo: int, hi: int) -> list:
-        """Flat copy of slots ``[lo, hi)`` of one column's backing arrays."""
-        if lo >= hi:
-            return []
-        asize = self._array_size
-        first, a = divmod(lo, asize)
-        last, b = divmod(hi - 1, asize)
-        if first == last:
-            return list(arrays[first][a : b + 1])
-        out = list(arrays[first][a:])
-        for arr in arrays[first + 1 : last]:
-            out.extend(arr)
-        out.extend(arrays[last][: b + 1])
-        return out
-
-    def _bisect(self, t: int, hi: int) -> int:
-        """First index in ``[0, hi)`` whose timestamp is ``>= t``, else
-        ``hi``; ``[0, hi)`` must be sorted.
-
-        Two binary searches: one over the heads of the backing arrays, one
-        inside the array whose head is the last below ``t``.
-        """
-        if hi == 0:
-            return 0
-        asize = self._array_size
-        arrays = self._time_arrays
-        index = bisect_left(arrays, t, 0, -(-hi // asize), key=itemgetter(0))
-        if index == 0:
-            return 0
-        base = (index - 1) * asize
-        return base + bisect_left(arrays[index - 1], t, 0, min(asize, hi - base))
+        return list(self._values)
 
     def cut_range(self, start: int, end: int) -> tuple[list[int], list]:
         """The points with ``start <= t < end`` of a *sorted* list.
 
-        The live memtable's range cut: it bisects the backing arrays and
-        flattens only the in-range slice.
+        The live memtable's range cut: two bisects over the time column,
+        then a copy of the in-range slice alone.
         """
-        lo = self._bisect(start, self._size)
-        hi = self._bisect(end, self._size)
-        return (
-            self._flat(self._time_arrays, lo, hi),
-            self._flat(self._value_arrays, lo, hi),
-        )
-
-    def memory_slots(self) -> int:
-        """Allocated slots (>= size): the deque trade-off made visible."""
-        return len(self._time_arrays) * self._array_size
+        lo = bisect_left(self._times, start)
+        hi = bisect_left(self._times, end, lo)
+        return list(self._times[lo:hi]), list(self._values[lo:hi])
 
     # -- sorting -----------------------------------------------------------
 
@@ -314,10 +222,10 @@ class TVList:
         the suffix ``[k, n)`` that arrived since is deduplicated and sorted,
         then merged into the prefix from ``w``, the first prefix point not
         below the suffix minimum (:func:`merge_fresh_suffix`); only
-        ``[w, n)`` is flattened and written back.  Otherwise the whole list
-        is deduplicated and sorted as one.  Either way duplicate timestamps
-        collapse, the last arrival winning, and the list shrinks — see
-        :func:`dedupe_arrival` for why that happens before the sort.
+        ``[w, n)`` is copied out and assigned back.  Otherwise the whole
+        list is deduplicated and sorted as one.  Either way duplicate
+        timestamps collapse, the last arrival winning, and the list shrinks
+        — see :func:`dedupe_arrival` for why that happens before the sort.
 
         The returned ``seconds`` time the sorter; its ``stats`` also count
         the merge.  ``obs``/``site``/``series`` flow through to
@@ -326,53 +234,34 @@ class TVList:
         (:class:`~repro.core.backward_sort.BackwardSorter`'s block-size
         cache) can key it.
         """
-        n = self._size
+        times, values = self._times, self._values
+        n = len(times)
         k = self._sorted_upto
         if k == n:
             return TimedResult(seconds=0.0, stats=SortStats())
         if 2 * k < n:
             k = 0
-        ts, vs = dedupe_arrival(
-            self._flat(self._time_arrays, k, n), self._flat(self._value_arrays, k, n)
-        )
+        ts, vs = dedupe_arrival(list(times[k:]), list(values[k:]))
         timed = sorter.timed_sort(ts, vs, obs=obs, site=site, series=series)
-        w = self._bisect(ts[0], k)
+        w = bisect_left(times, ts[0], 0, k)
         if w < k:
-            ts = self._flat(self._time_arrays, w, k) + ts
-            vs = self._flat(self._value_arrays, w, k) + vs
+            ts = list(times[w:k]) + ts
+            vs = list(values[w:k]) + vs
             merge_fresh_suffix(ts, vs, k - w, timed.stats)
-        self._shrink_to(w + len(ts))
-        self._write_back(ts, vs, w)
-        self._sorted_upto = self._size
+        # One slice assignment per column: it also drops the slots the
+        # dedupe and the merge freed.
+        times[w:] = _column(self._TIME_TYPECODE, ts)
+        values[w:] = _column(self._VALUE_TYPECODE, vs)
+        self._sorted_upto = len(times)
         return timed
 
-    def _shrink_to(self, size: int) -> None:
-        if size == self._size:
-            return
-        self._size = size
-        arrays = -(-size // self._array_size)
-        del self._time_arrays[arrays:]
-        del self._value_arrays[arrays:]
 
-    def _write_back(self, ts: list[int], vs: list, start: int) -> None:
-        """Copy the flat sorted arrays over slots ``[start, len)``.
-
-        Whole-array slice assignment instead of a per-element ``divmod``
-        loop: each backing array receives its span of the flat arrays in
-        one bulk copy (a C-speed ``memcpy`` for typed columns).
-        """
-        tbuf = self._as_time_buffer(ts)
-        vbuf = self._as_value_buffer(vs)
-        asize = self._array_size
-        index, offset = divmod(start, asize)
-        pos = 0
-        while pos < len(tbuf):
-            take = min(asize - offset, len(tbuf) - pos)
-            self._time_arrays[index][offset : offset + take] = tbuf[pos : pos + take]
-            self._value_arrays[index][offset : offset + take] = vbuf[pos : pos + take]
-            pos += take
-            index += 1
-            offset = 0
+def _column(typecode: str | None, items=()):
+    """``items`` as one column's storage: a typed array, or a list when
+    ``typecode`` is ``None`` (a list passes through uncopied)."""
+    if typecode is not None:
+        return array(typecode, items)
+    return items if isinstance(items, list) else list(items)
 
 
 def dedupe_arrival(ts: list[int], vs: list) -> tuple[list[int], list]:

@@ -1,17 +1,19 @@
-"""Backward-Sort directly over a TVList's backing arrays (paper §V-C).
+"""Backward-Sort directly over IoTDB's deque-of-arrays TVList (paper §V-C).
 
 "We abstract the core part of the sorting algorithm as interfaces to reuse
 the code ... Thereby, the facilities of TVList can be used directly."  In
-IoTDB the sorter reads and writes TVList slots through index arithmetic
-(``array = i // array_size``, ``offset = i % array_size``) rather than
-copying into a flat buffer.  This module reproduces that design: a full
+IoTDB a TVList is a deque of fixed-size arrays (§V-B), and the sorter reads
+and writes its slots through index arithmetic (``array = i // width``,
+``offset = i % width``) rather than copying into a flat buffer.  This
+module keeps that layout on its own, as :class:`ArrayDeque`, and runs a full
 Backward-Sort (block quicksort + insertion cutoff + backward merge with an
-overlap buffer) whose every element access goes through the deque layout.
+overlap buffer) whose every element access goes through it.
 
-It exists alongside the flatten-based :meth:`TVList.sort_in_place` so the
-trade-off can be *measured* (``benchmarks/bench_ablation_tvlist.py``): in
-Java the direct path avoids a copy; in CPython the div/mod per access costs
-more than the flat copy saves — an honest constant-factor inversion worth
+The engine's :class:`~repro.iotdb.tvlist.TVList` keeps two flat columns and
+sorts a copied-out slice (:meth:`TVList.sort_in_place`), so the trade-off
+can be *measured* (``benchmarks/bench_ablation_tvlist.py``): in Java the
+direct path avoids a copy; in CPython the div/mod per access costs more
+than the flat copy saves — an honest constant-factor inversion worth
 documenting, not hiding.
 """
 
@@ -19,41 +21,60 @@ from __future__ import annotations
 
 from repro.core.block_size import DEFAULT_L0, DEFAULT_THETA
 from repro.core.instrumentation import SortStats, TimedResult
-from repro.iotdb.tvlist import TVList
+from repro.errors import InvalidParameterError
 
 
-class _TVListAccessor:
-    """Index-arithmetic access to a TVList's (time, value) slots."""
+class ArrayDeque:
+    """IoTDB's TVList layout: parallel deques of ``width``-slot arrays.
 
-    def __init__(self, tvlist: TVList) -> None:
-        self._times = tvlist._time_arrays
-        self._values = tvlist._value_arrays
-        self._width = tvlist._array_size
-        self.size = len(tvlist)
+    Built from two flat columns (lists or ``array.array``s); each backing
+    array is a slice of its column, so a typed column gives typed backing
+    arrays.  ``is_sorted`` is IoTDB's flag: strictly increasing timestamps.
+    """
+
+    def __init__(self, timestamps, values, width: int = 32) -> None:
+        if width < 1:
+            raise InvalidParameterError(f"width must be >= 1, got {width}")
+        if len(timestamps) != len(values):
+            raise InvalidParameterError("timestamps and values lengths differ")
+        self.width = width
+        self.size = len(timestamps)
+        starts = range(0, self.size, width)
+        self.time_arrays = [timestamps[i : i + width] for i in starts]
+        self.value_arrays = [values[i : i + width] for i in starts]
+        self.is_sorted = all(a < b for a, b in zip(timestamps, timestamps[1:]))
+
+    def timestamps(self) -> list[int]:
+        """Flat copy of all timestamps in slot order."""
+        return [t for arr in self.time_arrays for t in arr]
+
+    def values(self) -> list:
+        """Flat copy of all values in slot order."""
+        return [v for arr in self.value_arrays for v in arr]
 
     def time(self, i: int) -> int:
-        return self._times[i // self._width][i % self._width]
+        return self.time_arrays[i // self.width][i % self.width]
 
     def pair(self, i: int):
-        arr, off = divmod(i, self._width)
-        return self._times[arr][off], self._values[arr][off]
+        arr, off = divmod(i, self.width)
+        return self.time_arrays[arr][off], self.value_arrays[arr][off]
 
     def set_pair(self, i: int, t: int, v) -> None:
-        arr, off = divmod(i, self._width)
-        self._times[arr][off] = t
-        self._values[arr][off] = v
+        arr, off = divmod(i, self.width)
+        self.time_arrays[arr][off] = t
+        self.value_arrays[arr][off] = v
 
     def swap(self, i: int, j: int) -> None:
-        ai, oi = divmod(i, self._width)
-        aj, oj = divmod(j, self._width)
-        ti, vi = self._times[ai][oi], self._values[ai][oi]
-        self._times[ai][oi] = self._times[aj][oj]
-        self._values[ai][oi] = self._values[aj][oj]
-        self._times[aj][oj] = ti
-        self._values[aj][oj] = vi
+        ai, oi = divmod(i, self.width)
+        aj, oj = divmod(j, self.width)
+        ti, vi = self.time_arrays[ai][oi], self.value_arrays[ai][oi]
+        self.time_arrays[ai][oi] = self.time_arrays[aj][oj]
+        self.value_arrays[ai][oi] = self.value_arrays[aj][oj]
+        self.time_arrays[aj][oj] = ti
+        self.value_arrays[aj][oj] = vi
 
 
-def _insertion(acc: _TVListAccessor, lo: int, hi: int, stats: SortStats) -> None:
+def _insertion(acc: ArrayDeque, lo: int, hi: int, stats: SortStats) -> None:
     comparisons = 0
     moves = 0
     for i in range(lo + 1, hi):
@@ -78,7 +99,7 @@ def _insertion(acc: _TVListAccessor, lo: int, hi: int, stats: SortStats) -> None
     stats.moves += moves
 
 
-def _quicksort(acc: _TVListAccessor, lo: int, hi: int, stats: SortStats) -> None:
+def _quicksort(acc: ArrayDeque, lo: int, hi: int, stats: SortStats) -> None:
     """Middle-pivot Hoare quicksort on ``[lo, hi)`` with insertion cutoff."""
     comparisons = 0
     moves = 0
@@ -115,7 +136,7 @@ def _quicksort(acc: _TVListAccessor, lo: int, hi: int, stats: SortStats) -> None
     stats.moves += moves
 
 
-def _merge_block(acc: _TVListAccessor, w_start: int, s: int, stats: SortStats) -> None:
+def _merge_block(acc: ArrayDeque, w_start: int, s: int, stats: SortStats) -> None:
     """Backward-merge block ``[w_start, s)`` into the sorted suffix at ``s``."""
     n = acc.size
     stats.comparisons += 1
@@ -159,21 +180,20 @@ def _merge_block(acc: _TVListAccessor, w_start: int, s: int, stats: SortStats) -
 
 
 def backward_sort_tvlist_inplace(
-    tvlist: TVList, theta: float = DEFAULT_THETA, l0: int = DEFAULT_L0
+    acc: ArrayDeque, theta: float = DEFAULT_THETA, l0: int = DEFAULT_L0
 ) -> TimedResult:
-    """Run Backward-Sort through the TVList accessor, never flattening.
+    """Run Backward-Sort over the deque's slots, never flattening.
 
     Mirrors Algorithm 1 end-to-end: sample the empirical IIR through the
-    accessor to pick ``L``, quicksort each block in place, and backward-merge
-    the blocks with an overlap-sized buffer.
+    index arithmetic to pick ``L``, quicksort each block in place, and
+    backward-merge the blocks with an overlap-sized buffer.
     """
     import time as _time
 
     stats = SortStats()
     start = _time.perf_counter()
-    acc = _TVListAccessor(tvlist)
     n = acc.size
-    if n > 1 and not tvlist.is_sorted:
+    if n > 1 and not acc.is_sorted:
         # Set block size via down-sampled boundary probes (Algorithm 1, 1-8).
         size = l0
         loops = 0
@@ -206,8 +226,8 @@ def backward_sort_tvlist_inplace(
                 _quicksort(acc, bounds[b], bounds[b + 1], stats)
             for b in range(len(bounds) - 2, 0, -1):
                 _merge_block(acc, bounds[b - 1], bounds[b], stats)
-        # The sorted prefix promises *strictly* increasing; this sort keeps
-        # duplicates, so the list counts as sorted only when it has none.
+        # ``is_sorted`` promises *strictly* increasing; this sort keeps
+        # duplicates, so the deque counts as sorted only when it has none.
         strict = all(acc.time(i) != acc.time(i + 1) for i in range(n - 1))
-        tvlist._sorted_upto = n if strict else 0
+        acc.is_sorted = strict
     return TimedResult(seconds=_time.perf_counter() - start, stats=stats)

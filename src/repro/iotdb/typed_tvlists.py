@@ -11,9 +11,10 @@ They also earn their keep through *storage*: every typed list backs its
 time column with an ``array('q')`` (int64, matching IoTDB's timestamp
 type), and the numeric lists back their value column with ``array('q')``
 (INT32/INT64) or ``array('d')`` (FLOAT/DOUBLE) — one contiguous typed
-buffer per backing array instead of a list of boxed objects, which is what
-makes the bulk slice-fill paths in :class:`~repro.iotdb.tvlist.TVList`
-C-speed copies.  BOOLEAN and TEXT values keep plain list storage (no
+buffer per column instead of a list of boxed objects, which is what makes
+the bulk ``extend`` and slice-assignment paths in
+:class:`~repro.iotdb.tvlist.TVList` C-speed copies.  BOOLEAN and TEXT
+values keep plain list storage (no
 fixed-width typecode represents them losslessly).  One visible consequence:
 FLOAT/DOUBLE columns store every value as a C double, so an ``int`` written
 into an existing float column reads back as ``float`` — exactly what the
@@ -189,9 +190,9 @@ def tvlist_class(dtype: TSDataType) -> type[TVList]:
         raise InvalidParameterError(f"no TVList class for {dtype!r}") from None
 
 
-def tvlist_for(dtype: TSDataType, array_size: int = 32) -> TVList:
+def tvlist_for(dtype: TSDataType) -> TVList:
     """Instantiate the typed TVList for a column type."""
-    return tvlist_class(dtype)(array_size=array_size)
+    return tvlist_class(dtype)()
 
 
 def infer_dtype(value) -> TSDataType:

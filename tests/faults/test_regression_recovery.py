@@ -55,11 +55,18 @@ that fixes it:
     mixed-type values and every ``compact()`` raised ``EncodingError``.
     Fixed: recovery compares each sealed column's type across the files
     and refuses the tree with a ``StorageError`` naming both files.
+12. **A refused open leaked sealed-file handles** — when a later shard's
+    recovery raised, the files every earlier shard had opened stayed open
+    (``ResourceWarning: unclosed file`` under ``python -X dev``).  Fixed:
+    the refused open releases every shard's handles and WALs, flushing
+    nothing.
 """
 
 from __future__ import annotations
 
 import pytest
+
+from repro.iotdb.backends import LocalDirStore
 
 from repro.errors import (
     InjectedCrashError,
@@ -534,3 +541,48 @@ class TestColumnTypeIsPinnedPerColumn:
         message = str(refused.value)
         for part in ("d.s", "double", "int64", "seq-000001", "unseq-000009"):
             assert part in message
+
+    @pytest.mark.parametrize("poison", ["two-types", "corrupt-file"])
+    def test_refused_open_closes_every_handle_it_opened(self, tmp_path, monkeypatch, poison):
+        config = _config(tmp_path, shards=4)
+        engine = StorageEngine.create(config)
+        devices = [f"d{i}" for i in range(12)]
+        for device in devices:
+            engine.write_batch(device, "s", [1, 2, 3], [1.5, 2.5, 3.5])
+        shard_of = {device: engine.shard_for(device).shard_id for device in devices}
+        engine.close()
+        # Poison the last shard with data, so earlier shards have already
+        # opened their sealed files when its recovery refuses the tree.
+        last = max(shard_of.values())
+        device = next(d for d in devices if shard_of[d] == last)
+        assert any(shard_of[d] < last for d in devices)
+        shard_dir = config.data_dir / f"shard-{last:02d}"
+        with open(shard_dir / "unseq-000009.tsfile", "wb") as sink:
+            if poison == "two-types":
+                writer = TsFileWriter(sink)
+                writer.write_chunk(device, "s", TSDataType.INT64, [2], [7])
+                writer.close()
+            else:  # disk damage: the reader refuses the file on open
+                sink.write(b"not a tsfile")
+
+        def sealed_files():
+            return {
+                path: path.read_bytes()
+                for path in sorted(config.data_dir.rglob("*.tsfile*"))
+            }
+
+        before = sealed_files()
+        handles = []
+        open_read = LocalDirStore.open_read
+
+        def recording_open_read(store, key):
+            handle = open_read(store, key)
+            handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(LocalDirStore, "open_read", recording_open_read)
+        with pytest.raises(StorageError):
+            StorageEngine.open(config)
+        assert len(handles) > 1
+        assert all(handle.closed for handle in handles)
+        assert sealed_files() == before  # nothing flushed

@@ -91,6 +91,21 @@ class TestBasicOps:
         assert store.list("d") == ["deep/er/key.log", "dir/a", "dir/b.part"]
         assert store.list("zzz") == []
 
+    @pytest.mark.parametrize(
+        "prefix", ["", "shard-00/", "shard-0", "shard-01/seq", "missing/", "gone", "../"]
+    )
+    def test_list_matches_the_filtered_full_listing(self, store, prefix):
+        # LocalDirStore walks only the prefix's directory: it must answer
+        # exactly what filtering the whole store by the string prefix does.
+        keys = [f"shard-{s:02d}/{kind}-{n:06d}.tsfile" for s in range(3)
+                for kind in ("seq", "unseq") for n in range(1, 4)]
+        keys += ["meta/engine.json", "shard-00/wal/seq/seg-000001.log", "top"]
+        for key in keys:
+            store.put(key, b"x")
+        full = store.list("")
+        assert full == sorted(keys)
+        assert store.list(prefix) == [key for key in full if key.startswith(prefix)]
+
     def test_rename_atomic_moves_bytes(self, store):
         store.put("k.part", b"payload")
         store.rename_atomic("k.part", "k")

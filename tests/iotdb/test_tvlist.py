@@ -1,6 +1,8 @@
-"""TVList: deque-of-arrays layout, sorted tracking, sort paths, typing."""
+"""TVList: flat-column layout, sorted tracking, sort paths, typing."""
 
 from __future__ import annotations
+
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,48 +31,58 @@ from tests.conftest import make_delayed_stream
 
 class TestLayout:
     def test_put_and_get(self):
-        tv = TVList(array_size=4)
+        tv = TVList()
         for i, t in enumerate([3, 1, 4, 1, 5, 9, 2, 6]):
             tv.put(t, f"v{i}")
-        assert len(tv) == 8
-        assert tv.get_time(0) == 3
-        assert tv.get_time(7) == 6
-        assert tv.get_value(5) == "v5"
+        tv.put_all((7, 0), ("v8", "v9"))
+        assert len(tv) == 10
+        assert tv.timestamps() == [3, 1, 4, 1, 5, 9, 2, 6, 7, 0]
+        assert tv.values() == [f"v{i}" for i in range(10)]
 
-    def test_arrays_allocated_lazily(self):
-        tv = TVList(array_size=32)
-        assert tv.memory_slots() == 0
-        tv.put(1, "a")
-        assert tv.memory_slots() == 32
-        for i in range(32):
-            tv.put(i, "b")
-        assert tv.memory_slots() == 64  # second array after crossing 32
+    def test_typed_columns_are_one_buffer_each(self):
+        tv = DoubleTVList()
+        tv.put_all((1, 2), (1.5, 2))
+        tv.put(3, 3.5)
+        assert (tv._times, tv._values) == (array("q", [1, 2, 3]), array("d", [1.5, 2.0, 3.5]))
+        text = TextTVList()
+        text.put_all((1, 2), ("a", "b"))
+        assert (text._times, text._values) == (array("q", [1, 2]), ["a", "b"])
 
     def test_index_bounds(self):
+        # A range cut whose bounds fall outside the list, or cross, is
+        # empty rather than an index error.
         tv = TVList()
+        assert tv.cut_range(0, 10) == ([], [])
         tv.put(1, "a")
-        with pytest.raises(IndexError):
-            tv.get_time(1)
-        with pytest.raises(IndexError):
-            tv.get_value(-1)
+        assert tv.cut_range(2, 10) == ([], [])
+        assert tv.cut_range(5, -5) == ([], [])
+        assert tv.cut_range(-(2**63), 2**63) == ([1], ["a"])
 
     def test_iteration_and_flat_copies(self):
-        tv = TVList(array_size=3)
+        tv = TVList()
         pairs = [(5, "a"), (2, "b"), (9, "c"), (1, "d")]
         for t, v in pairs:
             tv.put(t, v)
         assert list(tv) == pairs
-        assert tv.timestamps() == [5, 2, 9, 1]
-        assert tv.values() == ["a", "b", "c", "d"]
+        ts, vs = tv.timestamps(), tv.values()
+        assert (ts, vs) == ([5, 2, 9, 1], ["a", "b", "c", "d"])
+        ts.append(0)
+        vs.append("e")  # copies: the list itself is unchanged
+        assert (len(tv), tv.timestamps(), tv.values()) == (4, [5, 2, 9, 1], list("abcd"))
 
     def test_put_all_checks_lengths(self):
         tv = TVList()
         with pytest.raises(InvalidParameterError):
             tv.put_all([1, 2], ["a"])
 
-    def test_bad_array_size(self):
+    def test_put_all_is_all_or_nothing(self):
+        tv = LongTVList()
+        tv.put_all((1, 2), (10, 20))
         with pytest.raises(InvalidParameterError):
-            TVList(array_size=0)
+            tv.put_all((3, 4), (30, 1.5))  # a bad value
+        with pytest.raises(OverflowError):
+            tv.put_all((3, 2**63), (30, 40))  # a time the column cannot hold
+        assert (tv.timestamps(), tv.values(), tv.is_sorted) == ([1, 2], [10, 20], True)
 
 
 class TestSortedTracking:
@@ -118,7 +130,7 @@ class TestSortedTracking:
 
     def test_sort_in_place(self):
         stream = make_delayed_stream(500, seed=1)
-        tv = TVList(array_size=7)
+        tv = TVList()
         for t, v in zip(stream.timestamps, stream.values):
             tv.put(t, v)
         assert not tv.is_sorted
@@ -136,7 +148,7 @@ class TestSortedTracking:
         assert timed.stats.comparisons == 0
 
     def test_values_follow_timestamps_through_sort(self):
-        tv = TVList(array_size=2)
+        tv = TVList()
         tv.put(3, "three")
         tv.put(1, "one")
         tv.put(2, "two")
@@ -192,13 +204,18 @@ class TestDedupeArrival:
         assert timed.stats.merges == 1
 
     def test_shrink_drops_surplus_backing_arrays(self):
-        tv = TVList(array_size=4)
+        # The dedupe's write-back shrinks both columns to the survivors.
+        tv = LongTVList()
         for i, t in enumerate([5, 3, 5, 3, 5, 3, 5, 3, 5]):
             tv.put(t, i)
         tv.sort_in_place(get_sorter("backward"))
         assert len(tv) == 2
         assert (tv.timestamps(), tv.values()) == ([3, 5], [7, 8])
-        assert tv.memory_slots() == 4  # three backing arrays trimmed to one
+        assert (tv._times, tv._values) == (array("q", [3, 5]), array("q", [7, 8]))
+        # The merge path shrinks too: a sorted prefix, then rewrites of it.
+        tv.put_all((3, 5), (9, 10))
+        tv.sort_in_place(get_sorter("backward"))
+        assert (tv._times, tv._values) == (array("q", [3, 5]), array("q", [9, 10]))
 
 
 class TestSortedPrefix:
@@ -233,7 +250,7 @@ class TestSortedPrefix:
         # Sorted once, then one late batch: the second sort hands the
         # sorter the batch alone and merges from the first prefix point it
         # reaches back into, so the flush that follows has nothing to do.
-        tv = TVList(array_size=4)
+        tv = TVList()
         tv.put_all(list(range(0, 400, 2)), list(range(200)))
         tv.put_all((401, 395, 399, 397), "abcd")
         calls = []
@@ -251,7 +268,7 @@ class TestSortedPrefix:
         assert len(calls) == 1
 
     def test_cut_range_bisects_the_backing_arrays(self):
-        tv = TVList(array_size=3)
+        tv = DoubleTVList()
         tv.put_all(list(range(0, 40, 2)), list(range(20)))
         assert tv.cut_range(5, 11) == ([6, 8, 10], [3, 4, 5])
         assert tv.cut_range(-10, 1) == ([0], [0])
@@ -304,18 +321,23 @@ def _assert_strictly_increasing(tv) -> None:
 
 class TestSortInPlaceProperty:
     """Interleaved batches, executor range reads and in-place sorts agree
-    with a last-arrival-wins dict for every sorter, width and column type."""
+    with a last-arrival-wins dict for every sorter, batch split and column
+    type.
+
+    ``batch_cap`` splits each drawn batch into ``write_batch`` calls of at
+    most that many points: the sorted prefix grows by whole batches only,
+    so a cap of 1 lets it take every in-order point, while 32 (above any
+    drawn batch) keeps each batch whole.
+    """
 
     @pytest.mark.parametrize("text", [False, True], ids=["typed", "text"])
-    @pytest.mark.parametrize("array_size", [1, 2, 32])
+    @pytest.mark.parametrize("batch_cap", [1, 2, 32])
     @pytest.mark.parametrize("sorter_name", available_sorters())
     @settings(max_examples=25, deadline=None)
     @given(ops=_OPS)
-    def test_matches_last_arrival_wins_model(self, sorter_name, array_size, text, ops):
+    def test_matches_last_arrival_wins_model(self, sorter_name, batch_cap, text, ops):
         sorter = get_sorter(sorter_name)
-        memtable = MemTable(
-            IoTDBConfig(array_size=array_size, memtable_flush_threshold=10**9)
-        )
+        memtable = MemTable(IoTDBConfig(memtable_flush_threshold=10**9))
         executor = TimeRangeQueryExecutor(sorter)
         model: dict[int, object] = {}
         arrivals = 0
@@ -327,7 +349,9 @@ class TestSortInPlaceProperty:
                     arrivals += 1
                     vs.append(f"v{arrivals}" if text else float(arrivals))
                 dtype = TSDataType.TEXT if text else TSDataType.DOUBLE
-                memtable.write_batch("d", "s", ts, vs, dtype=dtype)
+                for i in range(0, len(ts), batch_cap):
+                    part = slice(i, i + batch_cap)
+                    memtable.write_batch("d", "s", ts[part], vs[part], dtype=dtype)
                 model.update(zip(ts, vs))
                 continue
             tv = memtable.chunk("d", "s")
@@ -383,7 +407,7 @@ class TestTypedTVLists:
 
     def test_factory(self):
         assert isinstance(tvlist_for(TSDataType.DOUBLE), DoubleTVList)
-        assert tvlist_for(TSDataType.INT32, array_size=8).dtype is TSDataType.INT32
+        assert tvlist_for(TSDataType.INT32).dtype is TSDataType.INT32
 
     def test_infer_dtype(self):
         assert infer_dtype(True) is TSDataType.BOOLEAN
